@@ -88,10 +88,14 @@ def test_end_to_end_backend_speedup(benchmark, report):
     """Whole-miner ablation: MinerConfig(counting_backend=...) on Adult.
 
     Mines the categorical attributes of the Adult stand-in with the mask
-    and bitmap backends and checks the bitmap path is (a) byte-identical
-    and (b) at least ~2x faster on this categorical-heavy workload (the
-    ISSUE 2 acceptance target; the LRU context cache does the heavy
-    lifting at depth 3).
+    and bitmap backends under both evaluation drivers and checks the
+    bitmap path is (a) byte-identical and (b) at least 1.5x faster with
+    the per-candidate scalar driver, where the mask backend builds one
+    boolean mask per candidate and the bitmap's LRU context cache does
+    the heavy lifting at depth 3.  The batch driver's ratio is reported
+    without a gate: there the mask backend counts each categorical
+    combination from one contingency table (DESIGN.md §12), which closes
+    most of the gap by design.
     """
     from repro.core.config import MinerConfig
     from repro.core.miner import ContrastSetMiner
@@ -103,41 +107,49 @@ def test_end_to_end_backend_speedup(benchmark, report):
         if dataset.attribute(n).is_categorical
     ]
 
-    def run(backend):
-        config = MinerConfig(max_tree_depth=3, counting_backend=backend)
+    def run(backend, batch_evaluation):
+        config = MinerConfig(
+            max_tree_depth=3,
+            counting_backend=backend,
+            batch_evaluation=batch_evaluation,
+        )
         return ContrastSetMiner(config).mine(
             dataset, attributes=categorical
         )
 
-    bitmap_result = benchmark.pedantic(
-        lambda: run("bitmap"), rounds=3, iterations=1
+    benchmark.pedantic(
+        lambda: run("bitmap", False), rounds=3, iterations=1
     )
 
-    start = time.perf_counter()
-    mask_result = run("mask")
-    mask_time = time.perf_counter() - start
-    start = time.perf_counter()
-    bitmap_result = run("bitmap")
-    bitmap_time = time.perf_counter() - start
+    def timed(backend, batch_evaluation):
+        start = time.perf_counter()
+        result = run(backend, batch_evaluation)
+        return time.perf_counter() - start, result
 
-    assert [(p.itemset, p.counts) for p in mask_result.patterns] == [
-        (p.itemset, p.counts) for p in bitmap_result.patterns
-    ]
-
-    stats = bitmap_result.stats
-    speedup = mask_time / bitmap_time
-    report(
-        "ablation_bitmap_end_to_end",
+    lines = [
         "End-to-end mining, Adult categorical attributes "
-        f"({dataset.n_rows} rows, depth 3):\n"
-        f"  mask backend:   {mask_time * 1e3:8.1f} ms\n"
-        f"  bitmap backend: {bitmap_time * 1e3:8.1f} ms "
-        f"({speedup:.2f}x)\n"
-        f"  bitmap counters: {stats.count_calls} count calls, "
-        f"cache {stats.cache_hits} hits / {stats.cache_misses} misses "
-        f"(hit rate {stats.cache_hit_rate:.0%})",
-    )
+        f"({dataset.n_rows} rows, depth 3):"
+    ]
+    speedups = {}
+    for driver, batch_evaluation in (("scalar", False), ("batch", True)):
+        mask_time, mask_result = timed("mask", batch_evaluation)
+        bitmap_time, bitmap_result = timed("bitmap", batch_evaluation)
+        assert [(p.itemset, p.counts) for p in mask_result.patterns] == [
+            (p.itemset, p.counts) for p in bitmap_result.patterns
+        ]
+        speedups[driver] = mask_time / bitmap_time
+        stats = bitmap_result.stats
+        lines += [
+            f"  {driver} driver:",
+            f"    mask backend:   {mask_time * 1e3:8.1f} ms",
+            f"    bitmap backend: {bitmap_time * 1e3:8.1f} ms "
+            f"({speedups[driver]:.2f}x)",
+            f"    bitmap counters: {stats.count_calls} count calls, "
+            f"cache {stats.cache_hits} hits / {stats.cache_misses} misses "
+            f"(hit rate {stats.cache_hit_rate:.0%})",
+        ]
+    report("ablation_bitmap_end_to_end", "\n".join(lines))
 
-    # identical patterns, materially faster (2x target, 1.5x floor to
-    # absorb machine noise)
-    assert speedup > 1.5
+    # identical patterns, materially faster per candidate (2x target,
+    # 1.5x floor to absorb machine noise)
+    assert speedups["scalar"] > 1.5

@@ -47,6 +47,15 @@ SERVE_V2_SLO_FIELDS = (
 *scheduled* send time, so queueing delay is charged to the server)."""
 
 
+def _usable_cpus() -> int | None:
+    """CPUs this process may run on: its affinity set (``taskset``,
+    container cpusets) where the platform reports one, else every
+    online CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def _environment() -> dict[str, object]:
     import numpy
 
@@ -55,7 +64,7 @@ def _environment() -> dict[str, object]:
         "numpy": numpy.__version__,
         "platform": sys.platform,
         "machine": platform.machine(),
-        "cpus": os.cpu_count(),
+        "cpus": _usable_cpus(),
     }
 
 

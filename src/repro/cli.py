@@ -109,9 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
             default="mask",
             choices=("mask", "bitmap"),
             help=(
-                "support-counting backend: 'mask' (boolean masks) or "
-                "'bitmap' (packed bit-vectors, faster on "
-                "categorical-heavy data)"
+                "support-counting backend: 'mask' (boolean masks; "
+                "batches count each categorical combination from one "
+                "contingency table) or 'bitmap' (packed bit-vectors, "
+                "faster per candidate on categorical-heavy data)"
             ),
         )
         p.add_argument(

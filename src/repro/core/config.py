@@ -66,9 +66,11 @@ class MinerConfig:
     both; the ablation bench compares them)."""
     counting_backend: str = "mask"
     """Support-counting backend: ``"mask"`` (boolean masks, the reference
-    path) or ``"bitmap"`` (packed bit-vectors + per-group popcount with a
-    context-coverage cache — the fast path for categorical-heavy data).
-    See :mod:`repro.counting`."""
+    path; batches count each categorical combination from one
+    contingency table) or ``"bitmap"`` (packed bit-vectors + per-group
+    popcount with a context-coverage cache, faster per candidate on
+    categorical-heavy data).  Both give identical patterns.  See
+    :mod:`repro.counting`."""
     backend_cache_size: int | None = None
     """Capacity of the counting backend's memo cache: the bitmap
     backend's context-coverage LRU, or — when mining a chunked dataset —

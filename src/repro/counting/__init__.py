@@ -6,7 +6,10 @@ CountingBackend`.  Two implementations ship:
 
 ``mask``
     :class:`~repro.counting.mask.MaskBackend` — boolean masks over numpy
-    columns; the historical reference path and the default.
+    columns; the historical reference path and the default.  Batches of
+    categorical candidates are counted from one contingency table per
+    attribute set (a ``bincount`` over the code columns), bounded to
+    ``max(n_rows, 65_536)`` cells.
 ``bitmap``
     :class:`~repro.counting.bitmap.BitmapBackend` — packed bit-vectors with
     per-group popcounts and an LRU cache of categorical-context coverage

@@ -7,7 +7,8 @@ that row is computed, so the search layers (`core.search`, `core.sdad`,
 `parallel.scheduler`) stay agnostic of the representation:
 
 * :class:`~repro.counting.mask.MaskBackend` — boolean masks over numpy
-  columns, the historical reference path;
+  columns, the historical reference path, whose batches read purely
+  categorical candidates from one contingency table per attribute set;
 * :class:`~repro.counting.bitmap.BitmapBackend` — packed bit-vectors with
   per-group popcounts (SciCSM-style, related work [29]) and an LRU cache
   of categorical-context coverage vectors;
@@ -29,13 +30,15 @@ result, same single ``count_calls`` tally), and the chunked backend
 counts covers chunk by chunk without ever densifying a full-row mask.
 
 Every backend accepts batches: :class:`CountingBackendBase` provides a
-per-candidate fallback that stacks ``group_counts`` rows, and backends
-that can do better (bitmap: one packed-AND + popcount sweep; chunked:
-chunk-outer iteration with the digest-keyed cache intact) override it.
+per-candidate fallback that stacks ``group_counts`` rows, and every
+shipped backend overrides it (mask: one ``bincount`` contingency table
+per categorical attribute set; bitmap: one packed-AND + popcount sweep;
+chunked: chunk-outer iteration with the digest-keyed cache intact).
 The class attribute :attr:`CountingBackendBase.supports_batch` advertises
 whether the override exists; callers never need to check it for
-correctness — only to predict performance.  Candidates routed through the
-fallback are tallied in ``batch_fallbacks``.
+correctness — only to predict performance.  Candidates counted one by
+one — through the fallback, or by an override for itemsets its fast path
+does not cover — are tallied in ``batch_fallbacks``.
 
 Backends also self-instrument: every counting call (a batch of N counts
 as N calls, so scalar and batch drivers report comparable totals), every

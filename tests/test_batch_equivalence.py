@@ -64,28 +64,38 @@ from repro.counting import make_backend
 
 @st.composite
 def dataset_and_itemsets(draw):
-    """A small mixed dataset plus a batch of random candidate itemsets."""
+    """A small mixed dataset plus a batch of random candidate itemsets.
+
+    Two or three categorical attributes of cardinality 1-5, each wider
+    one with a category no row takes, so the mask backend's
+    contingency-table key spans several attributes and empty cells.  A
+    batch mixes attribute sets, the empty itemset and numeric items.
+    """
     n = draw(st.integers(20, 120))
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     group = rng.integers(0, draw(st.integers(2, 3)), n)
     n_groups = int(group.max()) + 1
+    cardinalities = draw(st.lists(st.integers(1, 5), min_size=2, max_size=3))
+    categories = {
+        f"c{j}": [f"v{v}" for v in range(card)]
+        for j, card in enumerate(cardinalities)
+    }
+    columns = {"x": rng.uniform(0, 1, n), "y": rng.normal(0, 1, n)}
+    for name, labels in categories.items():
+        taken = list(range(len(labels)))
+        if len(taken) > 1:
+            taken.remove(draw(st.sampled_from(taken)))
+        columns[name] = rng.choice(taken, n)
     schema = Schema.of(
-        [
-            Attribute.continuous("x"),
-            Attribute.continuous("y"),
-            Attribute.categorical("c", ["u", "v"]),
+        [Attribute.continuous("x"), Attribute.continuous("y")]
+        + [
+            Attribute.categorical(name, labels)
+            for name, labels in categories.items()
         ]
     )
     dataset = Dataset(
-        schema,
-        {
-            "x": rng.uniform(0, 1, n),
-            "y": rng.normal(0, 1, n),
-            "c": rng.integers(0, 2, n),
-        },
-        group,
-        [f"G{i}" for i in range(n_groups)],
+        schema, columns, group, [f"G{i}" for i in range(n_groups)]
     )
 
     def interval_item(attr):
@@ -104,10 +114,12 @@ def dataset_and_itemsets(draw):
         )
 
     itemsets = []
-    for _ in range(draw(st.integers(0, 8))):
-        items = []
-        if draw(st.booleans()):
-            items.append(CategoricalItem("c", draw(st.sampled_from("uv"))))
+    for _ in range(draw(st.integers(0, 10))):
+        items = [
+            CategoricalItem(name, draw(st.sampled_from(labels)))
+            for name, labels in categories.items()
+            if draw(st.booleans())
+        ]
         if draw(st.booleans()):
             items.append(interval_item("x"))
         if draw(st.booleans()):
@@ -125,11 +137,62 @@ def dataset_and_itemsets(draw):
 def test_group_counts_batch_matches_stacked_scalar(data, backend_name):
     dataset, itemsets = data
     backend = make_backend(backend_name, dataset)
+    before = backend.counters()
     batch = backend.group_counts_batch(itemsets)
-    assert batch.shape == (len(itemsets), dataset.n_groups)
+    grown = backend.counters() - before
+    n = len(itemsets)
+    # every categorical combination here fits the table bound, so only
+    # itemsets with a numeric item take the per-candidate path
+    with_numeric = sum(
+        any(isinstance(item, NumericItem) for item in itemset)
+        for itemset in itemsets
+    )
+    assert grown.count_calls == n
+    assert grown.batch_calls == 1
+    assert grown.batched_candidates == n
+    assert grown.batch_fallbacks == with_numeric
+    assert batch.shape == (n, dataset.n_groups)
     assert batch.dtype == np.int64
     for i, itemset in enumerate(itemsets):
         assert np.array_equal(batch[i], backend.group_counts(itemset))
+
+
+def test_mask_batch_bounds_table_cells():
+    """Three 5,000-category attributes over a few hundred rows would
+    need a ~2.5e11-cell table: those combinations are counted one by
+    one instead, and a one-attribute set still gets its table."""
+    n = 300
+    rng = np.random.default_rng(7)
+    labels = [f"v{v}" for v in range(5_000)]
+    names = ("a", "b", "c")
+    schema = Schema.of([Attribute.categorical(name, labels) for name in names])
+    dataset = Dataset(
+        schema,
+        {name: rng.integers(0, 5_000, n) for name in names},
+        rng.integers(0, 2, n),
+        ["G0", "G1"],
+    )
+    rows = rng.integers(0, n, 4)
+    wide = [
+        Itemset(
+            CategoricalItem(name, labels[dataset.column(name)[row]])
+            for name in names
+        )
+        for row in rows
+    ]
+    pair = Itemset(
+        CategoricalItem(name, labels[dataset.column(name)[rows[0]]])
+        for name in names[:2]
+    )
+    single = Itemset([CategoricalItem("a", labels[0])])
+    itemsets = [*wide, pair, single]
+    backend = make_backend("mask", dataset)
+    batch = backend.group_counts_batch(itemsets)
+    assert backend.batch_fallbacks == len(wide) + 1
+    assert backend.count_calls == len(itemsets)
+    for i, itemset in enumerate(itemsets):
+        assert np.array_equal(batch[i], backend.group_counts(itemset))
+    assert batch[: len(wide)].sum() >= len(wide)
 
 
 def test_group_counts_batch_matches_scalar_chunked(tmp_path, mixed_dataset):
