@@ -268,16 +268,23 @@ def full_space(
 def _iter_space_values(
     dataset: Dataset, cover: Cover, attribute: str
 ) -> Iterator[np.ndarray]:
-    """Yield each chunk's finite in-cover values of ``attribute``."""
+    """Yield each chunk's finite in-cover values of ``attribute``.
+
+    ``np.compress`` keeps the same elements in the same order as boolean
+    indexing at a fraction of its cost, and the NaN filter (a second
+    gather) runs only for chunks that hold a NaN.  Every yield is a
+    fresh array the caller may reorder.
+    """
     for i, values in enumerate(_iter_chunk_columns(dataset, attribute)):
-        inside = values[cover.dense_segment(i)]
-        yield inside[~np.isnan(inside)]
+        inside = np.compress(cover.dense_segment(i), values)
+        nan = np.isnan(inside)
+        yield inside[~nan] if nan.any() else inside
 
 
 def _gather_space_values(
     dataset: Dataset, cover: Cover, attribute: str
 ) -> np.ndarray:
-    """All finite in-cover values, in row order.
+    """All finite in-cover values, in row order, as a fresh array.
 
     Gathering chunk by chunk and concatenating yields element-wise
     exactly ``column[dense_mask]`` (chunks partition the rows in order),
@@ -291,7 +298,7 @@ def _gather_space_values(
 
 
 def _weighted_median(medians: list[float], weights: list[int]) -> float:
-    """Weighted median of per-chunk medians — the narrowing pivot.
+    """Weighted median of per-chunk lower medians — the narrowing pivot.
 
     At least half the remaining window weight lies in chunks whose median
     is ≤ the pivot (and symmetrically ≥), so each narrowing pass discards
@@ -311,11 +318,14 @@ def _select_kth(
     """Exact k-th order statistic (0-based) of the finite in-cover values.
 
     Streaming distributed selection: keep a candidate value window
-    ``[wlo, whi]``, pivot on the weighted median of per-chunk medians,
-    count ``< pivot`` / ``== pivot`` in one pass, and narrow.  Once the
-    window holds at most ``_STREAM_GATHER_FALLBACK`` values (or the pass
-    cap is hit), gather just the window and introselect — the exactness
-    fallback.  Peak memory is O(chunk) + O(window).
+    ``[wlo, whi]``, pivot on the weighted median of per-chunk lower
+    medians, count ``< pivot`` / ``== pivot`` in one pass, and narrow.
+    A lower median is an element of the window, so the pivot is never
+    NaN (the mean of a ``-inf`` and a ``+inf`` middle would be, and
+    would empty the window).  Once the window holds at most
+    ``_STREAM_GATHER_FALLBACK`` values (or the pass cap is hit), gather
+    just the window and introselect — the exactness fallback.  Peak
+    memory is O(chunk) + O(window).
     """
     wlo = -math.inf
     whi = math.inf
@@ -328,7 +338,9 @@ def _select_kth(
             window = vals[(vals >= wlo) & (vals <= whi)]
             total += window.size
             if window.size:
-                medians.append(float(np.median(window)))
+                mid = (window.size - 1) >> 1
+                window.partition(mid)
+                medians.append(float(window[mid]))
                 weights.append(int(window.size))
         if total <= _STREAM_GATHER_FALLBACK:
             break
@@ -366,7 +378,8 @@ def _streaming_median_split(
     median is their IEEE-double mean — the same ``(a + b) / 2.0``
     ``np.median`` computes — and the heavy-ties fallback (split point at
     or above the maximum) returns the largest distinct value below the
-    maximum, exactly ``np.unique(values)[-2]``.
+    maximum, exactly ``np.unique(values)[-2]``.  A zero split point is
+    always ``+0.0`` (see :func:`_dense_split_point`).
     """
     n = 0
     vmin = math.inf
@@ -406,7 +419,49 @@ def _streaming_median_split(
             if below.size:
                 best = max(best, float(below.max()))
         median = best
-    return median
+    return median + 0.0
+
+
+def _dense_split_point(values: np.ndarray, statistic: str) -> float | None:
+    """Split point of a gathered sample (``None`` when unsplittable).
+
+    ``values`` must be a fresh array: the median partitions it in place.
+    One introselect at ``mid = n >> 1`` leaves the upper middle order
+    statistic at ``mid`` and every smaller one before it, so an
+    even-length sample's lower middle is ``values[:mid].max()``.  Both
+    are elements of the data and their mean is the same
+    ``(a + b) / 2.0`` ``np.median`` computes, so the split point is the
+    same double.  The mean is taken before anything reorders the sample,
+    because float summation is order-sensitive.
+
+    Every exit adds ``0.0``, so a zero split point is always ``+0.0``:
+    which signed zero an introselect leaves in the middle depends on its
+    pivots, and ``-0.0`` serializes differently.
+    """
+    if values.size == 0:
+        return None
+    vmin = values.min()
+    vmax = values.max()
+    if vmin == vmax:
+        return None
+    if statistic == "mean":
+        split = values.mean()
+    else:
+        n = values.size
+        mid = n >> 1
+        values.partition(mid)
+        split = values[mid]
+        if not n & 1:
+            split = (values[:mid].max() + split) / 2.0
+    if split >= vmax:
+        # Heavy ties at the top (the paper's "unique values far less than
+        # data points" caveat): fall back to the largest distinct value
+        # below the maximum so the right half stays non-empty.  Ties at
+        # the bottom need no special case — a degenerate left interval
+        # [min, min] is a legitimate half (e.g. the zero spike of a
+        # zero-inflated frequency column).
+        split = values[values < vmax].max()
+    return float(split) + 0.0
 
 
 def partition_median(
@@ -414,8 +469,6 @@ def partition_median(
     space: Space,
     attribute: str,
     statistic: str = "median",
-    *,
-    fast: bool = False,
 ) -> tuple[Interval, Interval] | None:
     """Split one attribute's interval at the median (or mean) of the rows
     in ``space``.
@@ -424,74 +477,33 @@ def partition_median(
     values inside the space are identical — the "number of unique values far
     less than data points" caveat from Section 4.1).
 
-    ``fast=True`` (the batch evaluation engine) fetches the minimum,
-    maximum, and both middle order statistics from a single introselect
-    pass instead of three separate reductions; an even-length median is
-    the mean of the two partitioned middles either way, so the split
-    point is bit-identical.
-
-    Large multi-chunk spaces (more than :data:`MEDIAN_GATHER_BUDGET`
-    covered rows) use a streaming exact-selection pass instead of
-    gathering the in-space values — the split point is the same to the
-    bit (see :func:`_streaming_median_split`); ``statistic="mean"``
-    always gathers because float summation is not order-insensitive.
+    The in-space values are gathered chunk by chunk with one
+    ``np.compress`` each, and the median is one introselect (see
+    :func:`_dense_split_point`).  Large multi-chunk spaces (more than
+    :data:`MEDIAN_GATHER_BUDGET` covered rows) use a streaming
+    exact-selection pass instead of gathering — the split point is the
+    same to the bit (see :func:`_streaming_median_split`);
+    ``statistic="mean"`` always gathers because float summation is not
+    order-insensitive.  A zero split point is always ``+0.0``.
     """
-    interval = space.intervals[attribute]
+    if statistic not in ("median", "mean"):
+        raise ValueError("statistic must be 'median' or 'mean'")
+    cover = space.cover
     if (
         statistic == "median"
-        and space.cover.n_chunks > 1
+        and cover.n_chunks > 1
         and space.total_count > MEDIAN_GATHER_BUDGET
     ):
-        median = _streaming_median_split(dataset, space.cover, attribute)
-        if median is None:
-            return None
-        left = Interval(interval.lo, median, interval.lo_closed, True)
-        right = Interval(median, interval.hi, False, interval.hi_closed)
-        return left, right
-    values = _gather_space_values(dataset, space.cover, attribute)
-    if values.size == 0:
-        return None
-    if fast and statistic == "median":
-        n = values.size
-        mid = n >> 1
-        part = np.partition(values, sorted({0, max(mid - 1, 0), mid, n - 1}))
-        vmin = float(part[0])
-        vmax = float(part[-1])
-        if vmin == vmax:
-            return None
-        if n & 1:
-            median = float(part[mid])
-        else:
-            median = float((part[mid - 1] + part[mid]) / 2.0)
-        if median >= vmax:
-            distinct = np.unique(values)
-            median = float(distinct[-2])
-        left = Interval(interval.lo, median, interval.lo_closed, True)
-        right = Interval(median, interval.hi, False, interval.hi_closed)
-        return left, right
-    vmin = float(values.min())
-    vmax = float(values.max())
-    if vmin == vmax:
-        return None
-    if statistic == "mean":
-        # the mean of a non-constant sample is strictly inside
-        # (vmin, vmax), so no tie fallback is ever needed
-        median = float(values.mean())
-    elif statistic == "median":
-        median = float(np.median(values))
+        split = _streaming_median_split(dataset, cover, attribute)
     else:
-        raise ValueError("statistic must be 'median' or 'mean'")
-    if median >= vmax:
-        # Heavy ties at the top (the paper's "unique values far less than
-        # data points" caveat): fall back to the largest distinct value
-        # below the maximum so the right half stays non-empty.  Ties at
-        # the bottom need no special case — a degenerate left interval
-        # [min, min] is a legitimate half (e.g. the zero spike of a
-        # zero-inflated frequency column).
-        distinct = np.unique(values)
-        median = float(distinct[-2])
-    left = Interval(interval.lo, median, interval.lo_closed, True)
-    right = Interval(median, interval.hi, False, interval.hi_closed)
+        split = _dense_split_point(
+            _gather_space_values(dataset, cover, attribute), statistic
+        )
+    if split is None:
+        return None
+    interval = space.intervals[attribute]
+    left = Interval(interval.lo, split, interval.lo_closed, True)
+    right = Interval(split, interval.hi, False, interval.hi_closed)
     return left, right
 
 

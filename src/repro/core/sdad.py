@@ -159,7 +159,6 @@ class _SDADRun:
                 space,
                 name,
                 self.config.split_statistic,
-                fast=self.batch is not None,
             )
             if halves is not None:
                 splits[name] = halves

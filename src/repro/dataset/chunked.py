@@ -243,6 +243,8 @@ class ChunkedDataset:
                 f"{self.path} is not a chunked dataset (no {MANIFEST_NAME})"
             )
         self._chunk_cache: "OrderedDict[str, Dataset]" = OrderedDict()
+        # (chunk id, chunk digest, column) -> checked file path
+        self._checked_files: dict[tuple[str, str, str], str] = {}
         self.reload()
 
     # ------------------------------------------------------------------
@@ -526,11 +528,11 @@ class ChunkedDataset:
                 f"(store holds {self.n_chunks})"
             ) from None
 
-    def _mmap_file(self, meta: ChunkMeta, name: str) -> np.ndarray:
-        codec = self.codecs[name]
+    def _check_file(self, meta: ChunkMeta, name: str) -> str:
+        """Path of one chunk column file, as ``str``, after checking its
+        size against the manifest."""
         path = self.path / CHUNKS_DIR / meta.chunk_id / f"{name}.bin"
-        dtype = np.dtype(codec)
-        expected = meta.n_rows * dtype.itemsize
+        expected = meta.n_rows * np.dtype(self.codecs[name]).itemsize
         try:
             actual = path.stat().st_size
         except OSError:
@@ -539,9 +541,37 @@ class ChunkedDataset:
             raise ChunkedDatasetError(
                 f"chunk file {path} is {actual} bytes, expected {expected}"
             )
+        return str(path)
+
+    def _mmap_file(self, meta: ChunkMeta, name: str) -> np.ndarray:
+        """Map one chunk column file read-only.
+
+        Chunk files are immutable, so each one's size is checked once
+        per store object, keyed by chunk id and digest so that a
+        :meth:`reload` never reuses another chunk's check.  Later
+        accesses map the checked ``str`` path: ``np.memmap`` resolves a
+        ``Path`` with one ``lstat`` per component.  Every access still
+        maps afresh, and the map goes with the last array using it, so
+        resident memory stays O(chunk).  A file truncated or removed
+        after its check fails to map, and is reported as the check
+        reports it.
+        """
+        key = (meta.chunk_id, meta.digest, name)
+        path = self._checked_files.get(key)
+        if path is None:
+            path = self._checked_files[key] = self._check_file(meta, name)
+        dtype = np.dtype(self.codecs[name])
         if meta.n_rows == 0:
             return np.empty(0, dtype=dtype)
-        return np.memmap(path, dtype=dtype, mode="r", shape=(meta.n_rows,))
+        try:
+            return np.memmap(
+                path, dtype=dtype, mode="r", shape=(meta.n_rows,)
+            )
+        except (OSError, ValueError) as exc:
+            error = exc
+        self._checked_files.pop(key, None)
+        self._check_file(meta, name)
+        raise ChunkedDatasetError(f"unreadable chunk file {path}: {error}")
 
     def chunk_dataset(self, index: int) -> Dataset:
         """In-memory :class:`Dataset` view of one chunk (mmap-backed).

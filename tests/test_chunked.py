@@ -11,6 +11,7 @@ tiny-pickle contract parallel workers rely on.
 
 import json
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -268,6 +269,42 @@ def test_truncated_chunk_file_fails_fast(store_dir, mixed_dataset):
     victim.write_bytes(victim.read_bytes()[:-8])
     with pytest.raises(ChunkedDatasetError, match="bytes"):
         store.chunk_dataset(0)
+
+
+def test_chunk_file_damage_after_first_read_fails_cleanly(
+    store_dir, mixed_dataset
+):
+    """Each file's size is checked once per store; a file truncated or
+    removed after that check still fails as a ChunkedDatasetError that
+    names it."""
+    store = ChunkedDataset.pack(store_dir, mixed_dataset, chunk_size=200)
+    view = store.view()
+    first = np.concatenate(list(view.iter_chunk_columns("x")))
+    assert np.array_equal(first, mixed_dataset.column("x"), equal_nan=True)
+    victim = store.path / "chunks" / "chunk-000001" / "x.bin"
+    victim.write_bytes(victim.read_bytes()[:-8])
+    with pytest.raises(ChunkedDatasetError, match=r"x\.bin is \d+ bytes"):
+        list(view.iter_chunk_columns("x"))
+    victim.unlink()
+    with pytest.raises(ChunkedDatasetError, match=r"missing .*x\.bin"):
+        list(view.iter_chunk_columns("x"))
+    with pytest.raises(ChunkedDatasetError, match=r"missing .*x\.bin"):
+        store.chunk_dataset(1)
+
+
+def test_reload_rechecks_a_rewritten_chunk(store_dir, mixed_dataset):
+    """A size check belongs to one chunk id *and* digest: after the
+    store is rewritten with new content under the same chunk ids, a
+    file longer than the new manifest says is refused again."""
+    store = ChunkedDataset.pack(store_dir, mixed_dataset, chunk_size=200)
+    list(store.view().iter_chunk_columns("x"))
+    shutil.rmtree(store_dir)
+    ChunkedDataset.pack(store_dir, mixed_dataset, chunk_size=100)
+    victim = store_dir / "chunks" / "chunk-000000" / "x.bin"
+    victim.write_bytes(victim.read_bytes() + bytes(8))
+    store.reload()
+    with pytest.raises(ChunkedDatasetError, match=r"x\.bin is \d+ bytes"):
+        list(store.view().iter_chunk_columns("x"))
 
 
 def test_reload_sees_external_appends(store_dir, mixed_dataset):

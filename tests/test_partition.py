@@ -1,10 +1,14 @@
 """Tests for repro.core.partition (spaces, median splits, merging)."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.cover import Cover
 from repro.core.items import CategoricalItem, Interval, Itemset
 from repro.core.partition import (
     AttributeRange,
@@ -287,7 +291,9 @@ class _FakeChunkedColumn:
 
 
 def _dense_median_expectation(values):
-    """The gather path's split point (None when unsplittable)."""
+    """The reference split point: ``np.median`` of the non-NaN values,
+    or the largest distinct value below the maximum when the median
+    reaches it (None when unsplittable)."""
     finite = values[~np.isnan(values)]
     if finite.size == 0:
         return None
@@ -300,6 +306,11 @@ def _dense_median_expectation(values):
     return median
 
 
+def _bits(value):
+    """The IEEE-754 bytes of a double: tells ``-0.0`` from ``+0.0``."""
+    return struct.pack("<d", value)
+
+
 class TestStreamingMedian:
     """The streaming selector reproduces np.median to the bit, with the
     gather fallback forced off via tiny budgets."""
@@ -309,6 +320,7 @@ class TestStreamingMedian:
             st.lists(
                 st.one_of(
                     st.integers(min_value=-50, max_value=50).map(float),
+                    st.sampled_from([0.0, -0.0]),
                     st.floats(
                         min_value=-1e6,
                         max_value=1e6,
@@ -327,7 +339,6 @@ class TestStreamingMedian:
     @settings(max_examples=120, deadline=None)
     def test_matches_np_median_bitwise(self, chunks, data):
         from repro.core import partition as part
-        from repro.core.cover import Cover
 
         sizes = tuple(len(c) for c in chunks)
         all_values = np.concatenate(
@@ -357,13 +368,13 @@ class TestStreamingMedian:
         if expected is None:
             assert got is None
         else:
-            assert got == expected  # bit-identical, not approx
+            # bit-identical, not approx; a zero split point is +0.0
+            assert _bits(got) == _bits(expected + 0.0)
 
     def test_partition_median_streams_large_spaces(self, monkeypatch):
         """Above the gather budget, partition_median takes the streaming
         path and still produces the dense split point exactly."""
         from repro.core import partition as part
-        from repro.core.cover import Cover
 
         monkeypatch.setattr(part, "MEDIAN_GATHER_BUDGET", 8)
         monkeypatch.setattr(part, "_STREAM_GATHER_FALLBACK", 4)
@@ -390,3 +401,118 @@ class TestStreamingMedian:
         halves = partition_median(fake, space, "x")
         assert halves is not None
         assert halves[0].hi == float(np.median(values))
+
+
+_EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.5,
+    5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+)
+
+
+@st.composite
+def _chunked_column(draw):
+    """Chunks of one column plus an in-cover mask over their rows.
+
+    Values mix NaN, ±inf, ±0.0, subnormals and extreme magnitudes.  A
+    column is constant, two-valued (half the time ties at the maximum
+    reach the median) or free; chunk lengths of 0-3 make samples of
+    1-3 covered values common, over 1-4 chunks.
+    """
+    edge = st.sampled_from(_EDGE_VALUES)
+    kind = draw(st.sampled_from(("constant", "two", "free")))
+    if kind == "constant":
+        pool = st.just(draw(edge))
+    elif kind == "two":
+        pool = st.sampled_from((draw(edge), draw(edge)))
+    else:
+        pool = st.one_of(
+            edge,
+            st.integers(-3, 3).map(float),
+            st.floats(allow_nan=True, allow_infinity=True),
+        )
+    n_chunks = draw(st.integers(1, 4))
+    sizes = draw(
+        st.lists(
+            st.integers(0, 3) | st.integers(0, 24),
+            min_size=n_chunks,
+            max_size=n_chunks,
+        )
+    )
+    chunks = [draw(st.lists(pool, min_size=n, max_size=n)) for n in sizes]
+    mask = draw(
+        st.lists(st.booleans(), min_size=sum(sizes), max_size=sum(sizes))
+    )
+    return chunks, np.asarray(mask, dtype=bool)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chunked_column(), st.booleans())
+@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), False)
+@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), True)
+# a chunk whose window median is the NaN mean of -inf and +inf
+@example(([[], [math.inf, math.inf, -math.inf, -math.inf]],
+          np.ones(4, dtype=bool)), True)
+def test_partition_median_split_point_matches_reference_bytes(column, stream):
+    """partition_median's split point has the bytes of np.median's (or
+    of the heavy-ties fallback's) plus 0.0, on the gather path and on
+    the streaming path alike."""
+    from repro.core import partition as part
+
+    chunks, mask = column
+    sizes = tuple(len(c) for c in chunks)
+    values = np.concatenate([np.asarray(c, dtype=np.float64) for c in chunks])
+    cover = Cover.from_dense(mask, sizes)
+    space = Space(
+        {"x": Interval(-math.inf, math.inf, True, True)},
+        cover,
+        np.array([cover.count()], dtype=np.int64),
+        {},
+    )
+    with np.errstate(invalid="ignore"):
+        expected = _dense_median_expectation(values[mask])
+    budget, fallback = part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK
+    if stream:
+        # stream every multi-chunk space and make the pivot loop narrow
+        part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK = 0, 2
+    try:
+        with np.errstate(invalid="ignore"):
+            if expected is not None and math.isnan(expected):
+                # the two middle values are -inf and +inf: their mean is
+                # NaN, which Interval refuses as an endpoint
+                with pytest.raises(ValueError, match="NaN"):
+                    partition_median(_FakeChunkedColumn(chunks), space, "x")
+                return
+            halves = partition_median(_FakeChunkedColumn(chunks), space, "x")
+    finally:
+        part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK = (
+            budget, fallback,
+        )
+    if expected is None:
+        assert halves is None
+        return
+    left, right = halves
+    assert _bits(left.hi) == _bits(right.lo) == _bits(expected + 0.0)
+
+
+@pytest.mark.parametrize(
+    "statistic, x",
+    [
+        ("median", [-0.0, -0.0, 1.0]),
+        ("median", [-1.0, -0.0, 0.0, -0.0, 1.0]),
+        ("median", [-0.0, 0.0, -0.0, 0.0, 2.0, 3.0]),
+        # the sum is -5e-324, so the mean underflows to -0.0
+        ("mean", [-5e-324, -5e-324, 0.0, 5e-324]),
+    ],
+)
+def test_zero_split_point_is_positive_zero(statistic, x):
+    """Whichever signed zero the statistic lands on, the split is +0.0."""
+    ds = _dataset(x=np.array(x), groups=[0, 1] * (len(x) // 2)
+                  + [0] * (len(x) % 2))
+    left, right = partition_median(ds, _root(ds, ("x",)), "x", statistic)
+    assert _bits(left.hi) == _bits(right.lo) == _bits(0.0)
+
+
+def test_partition_median_rejects_unknown_statistic():
+    ds = _dataset()
+    with pytest.raises(ValueError, match="statistic"):
+        partition_median(ds, _root(ds, ("x",)), "x", "mode")
