@@ -1,18 +1,23 @@
-"""Pipeline dispatch overhead vs the hand-inlined rule sequence.
+"""Pipeline dispatch overhead vs the same batch kernels called directly.
 
-ISSUE 3 replaced the inlined prune-rule sequences (search engine,
-SDAD-CS, parallel workers, STUCCO) with one ``PruningPipeline``.  The
-pipeline adds per-candidate machinery — an ``EvaluationContext``, rule
-dispatch, hit counters, ``perf_counter`` timing — that the old code did
-not pay.  This bench bounds that cost: the added per-candidate overhead,
-scaled by the number of candidates a real depth-3 Adult run evaluates,
-must stay under 5% of that run's end-to-end wall time.
+Every miner judges its candidates through ``PruningPipeline.
+evaluate_batch``: one call per SDAD-CS sibling frame and two per
+categorical attribute combination (the pattern-free rules before
+counting, the rest after).  Around the rule kernels, each call pays for
+an ``EvaluationBatch``, the rule plan, per-rule hit counters,
+``perf_counter`` timing and the prune-table bookkeeping.  This bench
+bounds that cost: the added per-call overhead, scaled by the number of
+``evaluate_batch`` calls a real depth-3 Adult run makes, must stay under
+5% of that run's end-to-end wall time.
 
-The two micro loops are timed in ``PAIRS`` back-to-back pairs, which
-side goes first alternating from pair to pair, and the per-candidate
-overhead is the median of the per-pair differences: a drift of machine
-speed moves both sides of a pair alike instead of landing on one side
-of the subtraction.
+Both micro loops judge the same batches — sibling frames of the SDAD-CS
+space phase, and a categorical combination's pre-counting and counted
+passes — and run the same kernels on the same surviving rows in the
+same rule order; only the pipeline machinery differs.  They are timed
+in ``PAIRS`` back-to-back pairs, which side goes first alternating from
+pair to pair, and the per-call overhead is the median of the per-pair
+differences: a drift of machine speed moves both sides of a pair alike
+instead of landing on one side of the subtraction.
 """
 
 from __future__ import annotations
@@ -20,25 +25,30 @@ from __future__ import annotations
 import statistics
 import time
 
+import numpy as np
+
 from repro.core.config import MinerConfig
 from repro.core.contrast import ContrastPattern
 from repro.core.items import CategoricalItem, Itemset
 from repro.core.miner import ContrastSetMiner
-from repro.core.optimistic import chi_square_estimate
+from repro.core.optimistic import chi_square_estimate_batch
 from repro.core.pipeline import (
+    PHASE_ITEMSET,
+    PHASE_SPACE,
+    EvaluationBatch,
     EvaluationContext,
     PruningPipeline,
     chi2_critical,
 )
 from repro.core.pruning import (
-    expected_count_prunes,
-    minimum_deviation_prunes,
     redundant_against_subset,
+    redundant_against_subset_batch,
 )
 from repro.dataset.uci import adult
 
 MICRO_ROUNDS = 2000
 PAIRS = 7
+SIZES = (1000, 1000)
 
 
 def _make_pattern(counts, attrs):
@@ -46,73 +56,183 @@ def _make_pattern(counts, attrs):
     return ContrastPattern(
         itemset=itemset,
         counts=tuple(counts),
-        group_sizes=(1000, 1000),
+        group_sizes=SIZES,
         group_labels=("g0", "g1"),
         level=len(attrs),
     )
 
 
-def _workload():
-    """Representative candidates: survivors run every rule; the pruned
-    ones exit at different depths, like a real level's mix."""
-    survivor = _make_pattern((700, 80), ("a", "b"))
-    subset = _make_pattern((720, 150), ("a",))
-    return [
-        (survivor, (subset,)),          # survives all six rules
-        (_make_pattern((40, 45), ("c", "d")), ()),   # min deviation
-        (_make_pattern((9, 3), ("e", "f")), ()),     # expected count
-        (_make_pattern((700, 90), ("a", "g")),
-         (_make_pattern((710, 95), ("a",)),)),       # redundant
+def _case(phase, rows, subset, mode="all"):
+    """One ``evaluate_batch`` call: candidate patterns (keys and counts),
+    the subset they are compared against, and which rules run."""
+    patterns = [
+        _make_pattern(counts, (f"{phase}{i}", "z"))
+        for i, counts in enumerate(rows)
     ]
+    return {
+        "phase": phase,
+        "patterns": patterns,
+        "keys": [p.itemset for p in patterns],
+        "counts": np.asarray(rows, dtype=np.int64),
+        "subset": subset,
+        "mode": mode,
+    }
+
+
+def _workload():
+    """A mine's mix of calls: mostly SDAD-CS frames of 2-4 children
+    whose rows leave the chain at different rules, plus one categorical
+    combination's two passes."""
+    parent = _make_pattern((720, 150), ("a",))
+    frames = [
+        _case(PHASE_SPACE, [(700, 80), (20, 70), (0, 0), (9, 3)], parent),
+        _case(PHASE_SPACE, [(360, 40), (360, 110)], parent),
+        _case(PHASE_SPACE, [(40, 45), (300, 20), (700, 90), (5, 2)],
+              parent),
+        _case(PHASE_SPACE, [(650, 60), (70, 90), (600, 95)], parent),
+    ]
+    candidates = [(700, 80), (40, 45), (9, 3), (700, 90), (500, 60),
+                  (30, 200)]
+    return frames + [
+        _case(PHASE_ITEMSET, candidates, parent, mode="pattern_free"),
+        _case(PHASE_ITEMSET, candidates, parent, mode="counted"),
+    ]
+
+
+def _batch(case, config) -> EvaluationBatch:
+    patterns, subset = case["patterns"], case["subset"]
+    if case["phase"] == PHASE_SPACE:
+        n = len(patterns)
+        return EvaluationBatch(
+            keys=case["keys"],
+            config=config,
+            alpha=config.alpha,
+            phase=PHASE_SPACE,
+            level=2,
+            counts=case["counts"],
+            group_sizes=SIZES,
+            shared_subset_groups=[(np.arange(n), lambda: subset)],
+        )
+
+    def context(i):
+        return EvaluationContext(
+            key=patterns[i].itemset,
+            config=config,
+            alpha=config.alpha,
+            level=2,
+            itemset=patterns[i].itemset,
+            pattern=patterns[i],
+            subset_patterns=(subset,),
+        )
+
+    return EvaluationBatch(
+        keys=case["keys"],
+        config=config,
+        alpha=config.alpha,
+        level=2,
+        counts=None if case["mode"] == "pattern_free" else case["counts"],
+        group_sizes=SIZES,
+        context_factory=context,
+    )
 
 
 def _time_pipeline(workload, config) -> float:
     pipeline = PruningPipeline(config)
     start = time.perf_counter()
     for _ in range(MICRO_ROUNDS):
-        for pattern, subsets in workload:
-            ctx = EvaluationContext(
-                key=pattern.itemset,
-                config=config,
-                alpha=config.alpha,
-                level=pattern.level,
-                itemset=pattern.itemset,
-                pattern=pattern,
-                subset_patterns=subsets,
+        for case in workload:
+            pipeline.evaluate_batch(
+                _batch(case, config),
+                pattern_free_only=case["mode"] == "pattern_free",
+                skip_pattern_free=case["mode"] == "counted",
             )
-            pipeline.evaluate(ctx)
     return time.perf_counter() - start
+
+
+def _inlined(case, config) -> np.ndarray:
+    """The rule kernels of one call in chain order, no pipeline: empty,
+    minimum deviation, expected count, optimistic (itemsets only), and
+    redundancy.  The pure-space rule has no known pure regions here, so
+    it cannot fire and the pattern-free pass judges nothing."""
+    counts = case["counts"]
+    keep = np.ones(len(counts), dtype=bool)
+    if case["mode"] == "pattern_free":
+        return keep
+    sizes = np.asarray(SIZES, dtype=np.float64)
+    totals = counts.sum(axis=1)
+    alive = np.flatnonzero(totals != 0)
+    supports = np.divide(
+        counts.astype(np.float64), sizes[None, :],
+        out=np.zeros(counts.shape), where=(sizes > 0)[None, :],
+    )
+    alive = alive[~np.all(supports[alive] <= config.delta, axis=1)]
+    total = float(sizes.sum())
+    r0 = totals[alive].astype(np.float64)
+    bound = np.minimum(r0, total - r0) * float(sizes.min()) / total
+    alive = alive[~(bound < config.min_expected_count)]
+    if case["phase"] == PHASE_ITEMSET:
+        critical = chi2_critical(config.alpha, len(SIZES) - 1)
+        bounds = chi_square_estimate_batch(counts[alive], SIZES)
+        alive = alive[~(bounds < critical)]
+        redundant = np.fromiter(
+            (
+                redundant_against_subset(
+                    case["patterns"][i], case["subset"], config.alpha
+                )
+                for i in alive
+            ),
+            dtype=bool,
+            count=len(alive),
+        )
+    else:
+        redundant = redundant_against_subset_batch(
+            supports[alive], case["subset"], config.alpha
+        )
+    keep[:] = False
+    keep[alive[~redundant]] = True
+    return keep
 
 
 def _time_inlined(workload, config) -> float:
-    """The PR-2-style sequence: same rule maths, no pipeline machinery."""
     start = time.perf_counter()
     for _ in range(MICRO_ROUNDS):
-        for pattern, subsets in workload:
-            counts = pattern.counts
-            sizes = pattern.group_sizes
-            if not any(counts):
-                continue
-            if minimum_deviation_prunes(counts, sizes, config.delta):
-                continue
-            if expected_count_prunes(
-                counts, sizes, config.min_expected_count
-            ):
-                continue
-            critical = chi2_critical(config.alpha, len(counts) - 1)
-            if chi_square_estimate(counts, sizes) < critical:
-                continue
-            if any(
-                redundant_against_subset(pattern, s, config.alpha)
-                for s in subsets
-            ):
-                continue
+        for case in workload:
+            _inlined(case, config)
     return time.perf_counter() - start
+
+
+def _mine_counting_calls(dataset, config):
+    """Mine once while counting ``evaluate_batch`` calls and the
+    candidates they judged."""
+    original = PruningPipeline.evaluate_batch
+    tally = {"calls": 0, "candidates": 0}
+
+    def counted(self, batch, **kwargs):
+        tally["calls"] += 1
+        tally["candidates"] += batch.size
+        return original(self, batch, **kwargs)
+
+    PruningPipeline.evaluate_batch = counted
+    try:
+        ContrastSetMiner(config).mine(dataset)
+    finally:
+        PruningPipeline.evaluate_batch = original
+    return tally["calls"], tally["candidates"]
 
 
 def test_pipeline_overhead_under_five_percent(report):
     config = MinerConfig(max_tree_depth=3)
     workload = _workload()
+
+    # both sides judge every batch alike
+    pipeline = PruningPipeline(config)
+    for case in workload:
+        kept = pipeline.evaluate_batch(
+            _batch(case, config),
+            pattern_free_only=case["mode"] == "pattern_free",
+            skip_pattern_free=case["mode"] == "counted",
+        )
+        assert list(kept) == list(_inlined(case, config))
 
     # warm caches (chi2_critical lru, numpy) before timing either path
     _time_pipeline(workload, config)
@@ -124,38 +244,35 @@ def test_pipeline_overhead_under_five_percent(report):
             inlined = _time_inlined(workload, config)
             pairs.append((_time_pipeline(workload, config), inlined))
         else:
-            pipeline = _time_pipeline(workload, config)
-            pairs.append((pipeline, _time_inlined(workload, config)))
+            piped = _time_pipeline(workload, config)
+            pairs.append((piped, _time_inlined(workload, config)))
     pipeline_s = statistics.median(p for p, _ in pairs)
     inlined_s = statistics.median(i for _, i in pairs)
     n_micro = MICRO_ROUNDS * len(workload)
-    per_candidate = (
+    per_call = (
         max(0.0, statistics.median(p - i for p, i in pairs)) / n_micro
     )
 
-    # end-to-end depth-3 Adult run: how many candidates actually flow
-    # through the pipeline, and how long does the whole mine take?
+    # end-to-end depth-3 Adult run: how many evaluate_batch calls does
+    # it make, and how long does the whole mine take (timed unwrapped)?
     dataset = adult(scale=0.5)
+    n_calls, n_candidates = _mine_counting_calls(dataset, config)
     start = time.perf_counter()
     result = ContrastSetMiner(config).mine(dataset)
     end_to_end_s = time.perf_counter() - start
-    stats = result.stats
-    n_candidates = (
-        stats.prune_rule_checks.get("empty", 0) + stats.prune_table_checks
-    )
 
-    overhead_s = per_candidate * n_candidates
+    overhead_s = per_call * n_calls
     fraction = overhead_s / end_to_end_s
     report(
         "pipeline_overhead",
         f"Pipeline dispatch overhead (Adult scale=0.5, depth 3):\n"
-        f"  micro: {n_micro} candidates, median of {PAIRS} "
+        f"  micro: {n_micro} evaluate_batch calls, median of {PAIRS} "
         f"alternating pairs  "
         f"pipeline {pipeline_s * 1e3:7.1f} ms  "
         f"inlined {inlined_s * 1e3:7.1f} ms  "
-        f"-> {per_candidate * 1e6:.2f} us/candidate\n"
+        f"-> {per_call * 1e6:.2f} us/call\n"
         f"  end-to-end: {end_to_end_s * 1e3:7.1f} ms, "
-        f"{n_candidates} pipeline evaluations\n"
+        f"{n_calls} evaluate_batch calls over {n_candidates} candidates\n"
         f"  projected overhead: {overhead_s * 1e3:.1f} ms "
         f"({fraction:.2%} of end-to-end)",
     )

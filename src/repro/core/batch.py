@@ -1,15 +1,13 @@
 """The batch evaluation engine: whole candidate levels as array programs.
 
-The scalar candidate lifecycle (``process_categorical_candidate`` and the
-SDAD-CS ``_can_prune`` sequence) evaluates one candidate at a time: one
-backend counting call, one pass down the rule chain, one verdict.  Per
-candidate that is a handful of numpy calls on tiny arrays — the fixed
-per-call overhead dominates the arithmetic.
+Evaluating one candidate at a time costs one backend counting call, one
+pass down the rule chain, and one verdict — a handful of numpy calls on
+tiny arrays, where the fixed per-call overhead dominates the arithmetic.
 
-:class:`BatchEvaluator` restructures the hot path around *batches*: all
-candidates of one (level, attribute-combination) — or all child spaces of
-one SDAD-CS region — become a single ``(N, n_groups)`` counts matrix that
-flows through
+:class:`BatchEvaluator` is the miners' one path from candidate to
+verdict, built around *batches*: all candidates of one (level,
+attribute-combination) — or all child spaces of one SDAD-CS region —
+become a single ``(N, n_groups)`` counts matrix that flows through
 
 * :meth:`repro.counting.CountingBackend.group_counts_batch` (one stacked
   counting sweep instead of N calls),
@@ -20,13 +18,11 @@ flows through
 
 Every kernel is bit-identical to its scalar counterpart applied row by
 row (pinned by ``tests/test_batch_equivalence.py``), and the pipeline's
-accounting is summed exactly as the scalar short-circuit order would, so
-batch and scalar drivers produce byte-identical patterns *and* identical
-``--explain-prunes`` output.  ``MinerConfig(batch_evaluation=False)`` is
-the escape hatch that routes everything back through the scalar path.
+accounting is summed exactly as a per-candidate short-circuit order
+would, so patterns and ``--explain-prunes`` output match the frozen
+per-candidate reference in ``tests/data/golden_accounting.json``.
 
-See DESIGN.md §12 for the protocol, fallback semantics, and the API
-migration table.
+See DESIGN.md §12 for the protocol and fallback semantics.
 """
 
 from __future__ import annotations
@@ -176,12 +172,12 @@ class BatchEvaluator:
     ) -> list[CandidateOutcome]:
         """All candidates of one categorical combination, batched.
 
-        Returns the surviving candidates' outcomes in candidate order —
-        exactly the non-``None`` results a ``process_categorical_candidate``
-        loop would produce, with identical prune accounting.  Candidate
-        keys within a combination are distinct, so probing the lookup
-        table for all of them up front sees the same table state the
-        scalar interleaving would.
+        Returns the surviving candidates' outcomes in candidate order.
+        Each candidate is probed in the lookup table, then judged by the
+        pattern-free rules (pure-space) before counting, and by the
+        remaining rules after.  Candidate keys within a combination are
+        distinct, so probing the lookup table for all of them up front
+        sees the same table state a one-at-a-time order would.
         """
         pipeline = self.pipeline
         config = self.config
@@ -346,7 +342,7 @@ class BatchEvaluator:
         Boxes within a run are pairwise distinct (median splits strictly
         shrink the split axis, and sibling subtrees occupy disjoint
         intervals of the axis their parents split), so the lookup-table
-        probes see the same state the scalar interleaving would; every
+        probes see the same state a one-at-a-time order would; every
         space-phase rule reads only run-frozen state, and the redundancy
         rule receives each child's own parent via per-frame groups.
         ``pattern_of`` is the run's ``_pattern_of``, invoked lazily: once
@@ -416,8 +412,8 @@ class BatchEvaluator:
         subset_cache: dict[int, ContrastPattern | None] = {}
 
         def subset_of(f: int) -> ContrastPattern | None:
-            # Matches the scalar guard: a parent with no rows carries no
-            # usable direction, so no subset is offered to the rule.
+            # A parent with no rows carries no usable direction, so no
+            # subset is offered to the rule.
             if f not in subset_cache:
                 region = frames[f][1]
                 subset_cache[f] = (

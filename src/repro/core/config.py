@@ -79,15 +79,6 @@ class MinerConfig:
     cache, so setting this with ``counting_backend="mask"`` is a
     configuration error (caches never change mined patterns, only
     speed)."""
-    batch_evaluation: bool = True
-    """Drive the search through the vectorized batch evaluation engine
-    (:class:`repro.core.batch.BatchEvaluator`): all candidates of one
-    (level, attribute-combination) — and all child spaces of one SDAD-CS
-    recursion frame — are counted and pruned as a single
-    ``(N, n_groups)`` array program.  Batch and scalar drivers produce
-    byte-identical patterns and prune accounting (DESIGN.md §12);
-    ``False`` is the escape hatch back to the per-candidate scalar
-    path."""
     merge: bool = True
     merge_alpha: float = 0.05
     min_expected_count: float = 5.0

@@ -44,7 +44,7 @@ class MiningStats:
     """``group_counts_batch`` invocations on the counting backend."""
     batched_candidates: int = 0
     """Candidates counted through ``group_counts_batch`` (each also bumps
-    ``count_calls`` so scalar and batch drivers report comparable totals)."""
+    ``count_calls``)."""
     batch_fallbacks: int = 0
     """Batched candidates that fell back to a per-candidate scalar count
     (backend without a native batch path, or hybrid numeric itemsets)."""
@@ -54,8 +54,6 @@ class MiningStats:
     """Per pipeline rule: candidates the rule pruned."""
     prune_rule_seconds: dict[str, float] = field(default_factory=dict)
     """Per pipeline rule: wall time spent inside the rule's check."""
-    prune_rule_batched: dict[str, int] = field(default_factory=dict)
-    """Per pipeline rule: checks that ran through the batch evaluator."""
     prune_reasons: dict[str, int] = field(default_factory=dict)
     """Unique pruned keys per :class:`PruneReason` name (the Table-4-style
     ablation view; sourced from the prune lookup table)."""
@@ -115,10 +113,6 @@ class MiningStats:
         for name, seconds in other.prune_rule_seconds.items():
             self.prune_rule_seconds[name] = (
                 self.prune_rule_seconds.get(name, 0.0) + seconds
-            )
-        for name, value in other.prune_rule_batched.items():
-            self.prune_rule_batched[name] = (
-                self.prune_rule_batched.get(name, 0) + value
             )
         for name, value in other.prune_reasons.items():
             self.prune_reasons[name] = (

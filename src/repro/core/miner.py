@@ -78,14 +78,10 @@ class MiningSummary:
     fused SDAD-CS child-space counts)."""
     batched_candidates: int = 0
     """Candidates whose supports were counted through a batched sweep
-    (each also bumps ``count_calls``, keeping totals comparable with the
-    scalar driver)."""
+    (each also bumps ``count_calls``)."""
     batch_fallbacks: int = 0
     """Batched candidates that fell back to a per-candidate scalar count
     (backend without a native batch path, or hybrid numeric itemsets)."""
-    prune_rule_batched: dict[str, int] = field(default_factory=dict)
-    """Per pipeline rule: checks that ran through the batch evaluator
-    (the ``mode`` column of ``--explain-prunes``)."""
 
 
 @dataclass
@@ -137,7 +133,6 @@ class MiningResult:
             batch_calls=self.stats.batch_calls,
             batched_candidates=self.stats.batched_candidates,
             batch_fallbacks=self.stats.batch_fallbacks,
-            prune_rule_batched=dict(self.stats.prune_rule_batched),
         )
 
     def explain_prunes(self) -> str:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -162,17 +161,6 @@ class Space:
         self.counts = np.asarray(counts, dtype=np.int64)
         self._ranges = dict(ranges)
         self._volume: float | None = None
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Deprecated dense coverage mask (densifies the packed cover)."""
-        warnings.warn(
-            "Space.mask is deprecated; use Space.cover (packed per-chunk "
-            "bitset) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.cover.to_dense()
 
     @property
     def attributes(self) -> tuple[str, ...]:
@@ -512,8 +500,6 @@ def find_combinations(
     space: Space,
     splits: Mapping[str, tuple[Interval, Interval]],
     backend=None,
-    *,
-    batch_counts: bool = False,
 ) -> list[Space]:
     """All combinations of the per-attribute halves (``find_combs``).
 
@@ -521,7 +507,8 @@ def find_combinations(
     split attributes this yields ``2^k`` child spaces; their covers
     partition the parent's cover.  ``backend`` optionally routes the
     per-space group counting through a
-    :class:`repro.counting.CountingBackend`.
+    :class:`repro.counting.CountingBackend`, which also tallies the
+    children as one batched counting sweep.
 
     The chunk-outer loop computes each half's coverage once per chunk,
     packs it, and ANDs packed words against the parent segment — every
@@ -530,10 +517,6 @@ def find_combinations(
     ever built.  Child covers and counts are bit-identical to the
     historical dense path (``packbits(a & b) == packbits(a) &
     packbits(b)`` under zero padding).
-
-    ``batch_counts=True`` (the batch evaluation engine, DESIGN.md §12)
-    only changes the instrumentation: the children are additionally
-    tallied as one batch invocation.
     """
     choices: list[tuple[str, tuple[Interval, ...]]] = []
     for name in space.attributes:
@@ -570,7 +553,7 @@ def find_combinations(
                     )
             child_segments[child].append(bits)
 
-    if batch_counts and backend is not None:
+    if backend is not None:
         backend.batch_calls += 1
         backend.batched_candidates += len(combos)
 

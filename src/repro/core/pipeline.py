@@ -34,16 +34,16 @@ redundancy test, which both cost a statistics evaluation.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from scipy import stats as _scipy_stats
 
 from .config import MinerConfig
-from .contrast import ContrastPattern, evaluate_itemset
+from .contrast import ContrastPattern
 from .instrumentation import MiningStats
 from .items import CategoricalItem, Itemset, NumericItem
 from .optimistic import chi_square_estimate, chi_square_estimate_batch
@@ -52,7 +52,6 @@ from .pruning import (
     PruneReason,
     PruneTable,
     expected_count_prunes,
-    is_pure_space,
     minimum_deviation_prunes,
     redundant_against_subset,
     redundant_against_subset_batch,
@@ -72,7 +71,6 @@ __all__ = [
     "RuleStats",
     "CandidateOutcome",
     "default_rules",
-    "process_categorical_candidate",
     "format_prune_report",
 ]
 
@@ -210,8 +208,8 @@ class EvaluationBatch:
     objects are only materialised — through ``context_factory`` — when a
     rule without a vectorized form falls back to its scalar ``check``.
 
-    ``counts`` may be ``None`` for the pre-counting precheck batch
-    (pattern-free rules only).  ``shared_subset_factory`` supplies the one
+    ``counts`` may be ``None`` for the pre-counting batch (pattern-free
+    rules only).  ``shared_subset_factory`` supplies the one
     subset pattern every candidate is compared against in the SDAD-CS
     space phase (the parent region); it is invoked at most once.
     ``spaces``/``categorical`` carry the SDAD-CS frame's boxes and shared
@@ -346,8 +344,8 @@ class PruneRule:
     Subclasses define the stable ``name`` (the per-rule stats key), the
     :class:`PruneReason` recorded in the lookup table, whether the rule
     needs the candidate's evaluated pattern/counts (``needs_pattern`` —
-    pattern-free rules can run in the pre-counting ``precheck`` phase),
-    and optionally the candidate phases it applies to.
+    pattern-free rules can run before support counting), and optionally
+    the candidate phases it applies to.
 
     Rules may additionally override :meth:`check_batch` to judge a whole
     :class:`EvaluationBatch` as one boolean mask; the base implementation
@@ -601,7 +599,7 @@ class OptimisticChiSquareRule(PruneRule):
 
     Applies to categorical itemset candidates only: the SDAD-CS recursion
     over numeric spaces is gated by the Eq. 6-11 support-difference
-    estimate instead (see ``_SDADRun._optimistic_allows``).
+    estimate instead (see ``_SDADRun._optimistic_allows_many``).
     """
 
     name = "optimistic"
@@ -709,12 +707,9 @@ class RuleStats:
     checks: int = 0
     hits: int = 0
     seconds: float = 0.0
-    batched: int = 0
-    """How many of ``checks`` ran through :meth:`PruningPipeline.
-    evaluate_batch` (the ``mode`` column of ``--explain-prunes``)."""
 
     def snapshot(self) -> "RuleStats":
-        return RuleStats(self.checks, self.hits, self.seconds, self.batched)
+        return RuleStats(self.checks, self.hits, self.seconds)
 
 
 class PruningPipeline:
@@ -722,11 +717,12 @@ class PruningPipeline:
 
     One pipeline is built per mining run (or per parallel worker task)
     from :class:`MinerConfig`; it owns the :class:`PruneTable` and writes
-    into the run's :class:`MiningStats`.  Every consumer — the level-wise
-    search, SDAD-CS, the parallel workers, STUCCO — routes candidates
-    through :meth:`seen` / :meth:`precheck` / :meth:`evaluate`, which is
-    what guarantees serial, parallel, and backend-swapped runs agree on
-    both patterns and prune accounting.
+    into the run's :class:`MiningStats`.  Every consumer routes
+    candidates through :meth:`seen` and then :meth:`evaluate_batch` (the
+    level-wise search, SDAD-CS, and the parallel workers, via
+    :class:`~repro.core.batch.BatchEvaluator`) or :meth:`evaluate` (STUCCO,
+    one candidate at a time), which is what guarantees serial, parallel,
+    and backend-swapped runs agree on both patterns and prune accounting.
     """
 
     def __init__(
@@ -750,11 +746,9 @@ class PruningPipeline:
             rule.name: RuleStats() for rule in self.rules
         }
         # Hot-path plans: (pattern_free_only, skip_pattern_free, phase) ->
-        # tuple of (check, record, reason) with the per-candidate rule
-        # filtering and stats-dict lookups resolved once.
+        # tuple of (rule, record, reason) with the rule filtering and
+        # stats-dict lookups resolved once.
         self._plans: dict[tuple[bool, bool, str], tuple] = {}
-        # Same, but keeping the rule object for check_batch dispatch.
-        self._batch_plans: dict[tuple[bool, bool, str], tuple] = {}
         self._keep = PruneDecision.keep()
         self._drops = {
             rule.reason: PruneDecision.drop(rule.reason)
@@ -776,19 +770,28 @@ class PruningPipeline:
             return True
         return False
 
-    def precheck(self, ctx: EvaluationContext) -> PruneDecision:
-        """Run the pattern-free rules (before paying for counting)."""
-        return self._run(ctx, pattern_free_only=True)
+    def evaluate(self, ctx: EvaluationContext) -> PruneDecision:
+        """Run the rule chain on one evaluated candidate.
 
-    def evaluate(
-        self, ctx: EvaluationContext, *, skip_pattern_free: bool = False
-    ) -> PruneDecision:
-        """Run the rule chain on an evaluated candidate.
-
-        Pass ``skip_pattern_free=True`` when :meth:`precheck` already ran
-        for this candidate, so pattern-free rules are not re-checked.
+        STUCCO's path; the miners judge whole batches through
+        :meth:`evaluate_batch`, with identical accounting.
         """
-        return self._run(ctx, skip_pattern_free=skip_pattern_free)
+        plan = self._plan(False, False, ctx.phase)
+        clock = time.perf_counter if self.time_rules else None
+        for rule, record, reason in plan:
+            record.checks += 1
+            if clock is not None:
+                start = clock()
+                hit = rule.check(ctx)
+                record.seconds += clock() - start
+            else:
+                hit = rule.check(ctx)
+            if hit:
+                record.hits += 1
+                self.prune_table.add(ctx.key, reason)
+                self.stats.spaces_pruned += 1
+                return self._drops[reason]
+        return self._keep
 
     def _plan(
         self,
@@ -808,56 +811,9 @@ class PruningPipeline:
                 if rule.phases is not None and phase not in rule.phases:
                     continue
                 selected.append(
-                    (rule.check, self.rule_stats[rule.name], rule.reason)
-                )
-            plan = self._plans[key] = tuple(selected)
-        return plan
-
-    def _run(
-        self,
-        ctx: EvaluationContext,
-        *,
-        pattern_free_only: bool = False,
-        skip_pattern_free: bool = False,
-    ) -> PruneDecision:
-        plan = self._plan(pattern_free_only, skip_pattern_free, ctx.phase)
-        clock = time.perf_counter if self.time_rules else None
-        for check, record, reason in plan:
-            record.checks += 1
-            if clock is not None:
-                start = clock()
-                hit = check(ctx)
-                record.seconds += clock() - start
-            else:
-                hit = check(ctx)
-            if hit:
-                record.hits += 1
-                self.prune_table.add(ctx.key, reason)
-                self.stats.spaces_pruned += 1
-                return self._drops[reason]
-        return self._keep
-
-    def _batch_plan(
-        self,
-        pattern_free_only: bool,
-        skip_pattern_free: bool,
-        phase: str,
-    ) -> tuple:
-        key = (pattern_free_only, skip_pattern_free, phase)
-        plan = self._batch_plans.get(key)
-        if plan is None:
-            selected = []
-            for rule in self.rules:
-                if pattern_free_only and rule.needs_pattern:
-                    continue
-                if skip_pattern_free and not rule.needs_pattern:
-                    continue
-                if rule.phases is not None and phase not in rule.phases:
-                    continue
-                selected.append(
                     (rule, self.rule_stats[rule.name], rule.reason)
                 )
-            plan = self._batch_plans[key] = tuple(selected)
+            plan = self._plans[key] = tuple(selected)
         return plan
 
     def evaluate_batch(
@@ -869,28 +825,29 @@ class PruningPipeline:
     ) -> np.ndarray:
         """Run the rule chain over a whole batch; True = candidate kept.
 
+        ``pattern_free_only`` runs just the rules that need no counts
+        (before paying for support counting); ``skip_pattern_free`` runs
+        the rest, for a batch that already passed the first pass.
+
         Accounting is summed identically to running :meth:`evaluate` per
         candidate: each rule's ``checks`` grows by the number of
         candidates still alive when it runs (a candidate killed by an
         earlier rule is never checked by later ones), ``hits`` by the
         candidates it kills, and each kill lands in the prune table under
-        the first-firing rule's reason — exactly the scalar short-circuit
-        order, so ``--explain-prunes`` output is unchanged.
+        the first-firing rule's reason — exactly the per-candidate
+        short-circuit order.
         """
         n = batch.size
         keep = np.ones(n, dtype=bool)
         if n == 0:
             return keep
-        plan = self._batch_plan(
-            pattern_free_only, skip_pattern_free, batch.phase
-        )
+        plan = self._plan(pattern_free_only, skip_pattern_free, batch.phase)
         alive = np.arange(n)
         clock = time.perf_counter if self.time_rules else None
         for rule, record, reason in plan:
             if alive.size == 0:
                 break
             record.checks += int(alive.size)
-            record.batched += int(alive.size)
             if clock is not None:
                 start = clock()
                 hits = np.asarray(
@@ -961,13 +918,6 @@ class PruningPipeline:
             stats.prune_rule_seconds[name] = (
                 stats.prune_rule_seconds.get(name, 0.0) + d_seconds
             )
-            d_batched = record.batched - (
-                previous.batched if previous else 0
-            )
-            if d_batched or name in stats.prune_rule_batched:
-                stats.prune_rule_batched[name] = (
-                    stats.prune_rule_batched.get(name, 0) + d_batched
-                )
             self._published_rules[name] = record.snapshot()
         reasons = self.prune_table.reason_counts()
         for reason, count in reasons.items():
@@ -988,7 +938,7 @@ class PruningPipeline:
 
 
 # ----------------------------------------------------------------------
-# The shared categorical candidate lifecycle
+# Categorical candidate outcomes
 # ----------------------------------------------------------------------
 
 
@@ -1004,66 +954,6 @@ class CandidateOutcome:
     registered in the pure-region registry (pure-space pruning)."""
 
 
-def process_categorical_candidate(
-    itemset: Itemset,
-    dataset,
-    pipeline: PruningPipeline,
-    *,
-    alpha: float,
-    level: int,
-    subset_patterns: Mapping[Itemset, ContrastPattern],
-    known_pure: Sequence[Itemset],
-    backend=None,
-    threshold: float = 0.0,
-) -> CandidateOutcome | None:
-    """One categorical candidate through the full lifecycle.
-
-    Lookup-table probe, pure-space precheck, support counting, then the
-    evaluated rule chain.  Returns ``None`` when the candidate was pruned
-    (the pipeline has already recorded why); otherwise the evaluated
-    pattern plus its contrast/purity verdicts, which the caller folds
-    into its own viable/top-k/pure bookkeeping.  Both the serial
-    :class:`~repro.core.search.SearchEngine` and the parallel worker loop
-    call this, which is what keeps them byte-identical.
-    """
-    config = pipeline.config
-    if pipeline.seen(itemset):
-        return None
-    ctx = EvaluationContext(
-        key=itemset,
-        config=config,
-        alpha=alpha,
-        level=level,
-        itemset=itemset,
-        known_pure=known_pure,
-        threshold=threshold,
-    )
-    if pipeline.precheck(ctx).pruned:
-        return None
-    pipeline.stats.partitions_evaluated += 1
-    pattern = evaluate_itemset(itemset, dataset, level, backend=backend)
-    ctx.attach_pattern(pattern)
-
-    def subsets() -> list[ContrastPattern]:
-        found = []
-        for attribute in itemset.attributes:
-            subset = subset_patterns.get(itemset.without_attribute(attribute))
-            if subset is not None:
-                found.append(subset)
-        return found
-
-    ctx._subsets_factory = subsets
-    if pipeline.evaluate(ctx, skip_pattern_free=True).pruned:
-        return None
-    is_contrast = pattern.is_contrast(config.delta, alpha)
-    is_pure = bool(
-        config.prune_pure_space
-        and is_contrast
-        and is_pure_space(pattern.counts)
-    )
-    return CandidateOutcome(itemset, pattern, is_contrast, is_pure)
-
-
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
@@ -1076,19 +966,15 @@ def format_prune_report(stats: MiningStats) -> str:
 
     One row per pipeline rule: how many candidates it saw, how many it
     cut, the wall time it cost, and the matching lookup-table reason
-    count (unique pruned keys).  The trailing ``mode`` column annotates
-    how the rule's checks ran — ``batch`` (all through
-    :meth:`PruningPipeline.evaluate_batch`), ``scalar`` (all
-    per-candidate), or ``mixed``; it is appended after the historical
-    columns so older report parsers keep working.  The lookup table's own
-    probe/hit tally follows — table hits are candidates skipped without
-    any rule running.
+    count (unique pruned keys).  The lookup table's own probe/hit tally
+    follows — table hits are candidates skipped without any rule
+    running.
     """
     names = list(stats.prune_rule_checks)
     lines = ["Pruning pipeline (rule order = evaluation order):"]
     header = (
         f"  {'rule':<20} {'checks':>9} {'hits':>9} {'hit%':>7} "
-        f"{'time(s)':>9} {'table':>7} {'mode':>7}"
+        f"{'time(s)':>9} {'table':>7}"
     )
     lines.append(header)
     for name in names:
@@ -1102,18 +988,9 @@ def format_prune_report(stats: MiningStats) -> str:
             if reason is not None
             else "-"
         )
-        batched = stats.prune_rule_batched.get(name, 0)
-        if not checks:
-            mode = "-"
-        elif batched >= checks:
-            mode = "batch"
-        elif batched == 0:
-            mode = "scalar"
-        else:
-            mode = "mixed"
         lines.append(
             f"  {name:<20} {checks:>9} {hits:>9} {rate:>7} "
-            f"{seconds:>9.3f} {table:>7} {mode:>7}"
+            f"{seconds:>9.3f} {table:>7}"
         )
     lines.append(
         f"  lookup table: {stats.prune_table_checks} probes, "

@@ -44,12 +44,8 @@ from .partition import (
     merged_space,
     partition_median,
 )
-from .pipeline import (
-    PHASE_SPACE,
-    EvaluationContext,
-    PruningPipeline,
-)
-from .pruning import PruneTable, is_pure_space
+from .pipeline import PruningPipeline
+from .pruning import PruneTable
 from .stats import AlphaLadder, chi_square_independence
 
 __all__ = ["SDADResult", "sdad_cs"]
@@ -88,9 +84,7 @@ class _SDADRun:
         self.config = config
         self.min_interest = min_interest
         self.ladder = alpha_ladder
-        self.pipeline = pipeline
         self.stats = pipeline.stats
-        self.prune_table = pipeline.prune_table
         self.base_level = base_level
         self.known_pure = tuple(known_pure)
         if backend is None:
@@ -100,17 +94,14 @@ class _SDADRun:
             backend = MaskBackend(dataset)
         self.backend = backend
         self.measure = measures.get(config.interest_measure)
-        # Vectorized per-frame driver (DESIGN.md §12); None = scalar path.
-        # The outer search passes one long-lived evaluator so its
-        # dataset-level caches (attribute ranges) span all runs.
-        if not config.batch_evaluation:
-            self.batch = None
-        elif evaluator is not None:
-            self.batch = evaluator
-        else:
-            self.batch = BatchEvaluator(
+        # Vectorized per-frame driver (DESIGN.md §12).  The outer search
+        # passes one long-lived evaluator so its dataset-level caches
+        # (attribute ranges) span all runs.
+        if evaluator is None:
+            evaluator = BatchEvaluator(
                 dataset, pipeline, self.backend, config.interest_measure
             )
+        self.batch = evaluator
         self.result = SDADResult()
         self.pattern_level = base_level + len(self.continuous)
         self.root_intervals: dict[str, object] = {}
@@ -164,13 +155,7 @@ class _SDADRun:
                 splits[name] = halves
         if not splits:
             return []
-        return find_combinations(
-            self.dataset,
-            space,
-            splits,
-            self.backend,
-            batch_counts=self.batch is not None,
-        )
+        return find_combinations(self.dataset, space, splits, self.backend)
 
     # -- the recursion ----------------------------------------------------
 
@@ -189,11 +174,9 @@ class _SDADRun:
             self.continuous,
             context_cover,
             self.backend,
-            ranges=(
-                {name: self.batch.range_of(name) for name in self.continuous}
-                if self.batch is not None
-                else None
-            ),
+            ranges={
+                name: self.batch.range_of(name) for name in self.continuous
+            },
         )
         if root.total_count == 0:
             return self.result
@@ -256,35 +239,24 @@ class _SDADRun:
         contrasts_here: list[Space] = []
         from_children: list[Space] = []
 
-        if self.batch is not None:
-            # Whole-frame batch: lookup table, rule chain, and verdicts
-            # for every sibling in one array program.  Sibling keys are
-            # distinct and every space-phase rule reads only frame-frozen
-            # state, so this reproduces the scalar order exactly.
-            if verdicts is None:
-                verdicts = self.batch.score_spaces(
-                    spaces,
-                    categorical=self.categorical,
-                    alpha=alpha,
-                    level=self.pattern_level,
-                    threshold=self.min_interest,
-                    known_pure=self.known_pure,
-                    region=region,
-                    pattern_of=self._pattern_of,
-                )
-            survivors = [
-                (space, verdict)
-                for space, verdict in zip(spaces, verdicts)
-                if verdict is not None
-            ]
-        else:
-            region_pattern = self._pattern_of(region)
-            survivors = []
-            for space in spaces:
-                if self._can_prune(space, region_pattern, alpha):
-                    continue
-                self.stats.partitions_evaluated += 1
-                survivors.append((space, None))
+        # Whole-frame batch (Algorithm 1 line 7 for every sibling):
+        # lookup table, rule chain, and verdicts in one array program.
+        if verdicts is None:
+            verdicts = self.batch.score_spaces(
+                spaces,
+                categorical=self.categorical,
+                alpha=alpha,
+                level=self.pattern_level,
+                threshold=self.min_interest,
+                known_pure=self.known_pure,
+                region=region,
+                pattern_of=self._pattern_of,
+            )
+        survivors = [
+            (space, verdict)
+            for space, verdict in zip(spaces, verdicts)
+            if verdict is not None
+        ]
 
         # First pass: verdict fields and the recursion decision per
         # surviving space.  Everything here is a pure function of the
@@ -293,46 +265,37 @@ class _SDADRun:
         # identity — the Dtemp comparisons below would otherwise
         # re-derive them.
         interest_of: dict[int, float] = {}
-        plans: list[tuple[Space, object, float, bool, bool, bool]] = []
+        plans: list[tuple[Space, float, bool, bool, bool]] = []
         opt_ok = self._optimistic_allows_many(
             [space for space, _ in survivors], level
         )
         for k, (space, verdict) in enumerate(survivors):
-            pattern = None
-            if verdict is None:
-                pattern = self._pattern_of(space)
-                interest = self.measure(pattern)
-                pure = is_pure_space(space.counts)
-                is_contrast = pattern.is_contrast(self.config.delta, alpha)
-            else:
-                interest = (
-                    verdict.interest
-                    if verdict.interest is not None
-                    else self._interest_of(space)
-                )
-                pure = verdict.pure
-                is_contrast = verdict.is_contrast
+            interest = (
+                verdict.interest
+                if verdict.interest is not None
+                else self._interest_of(space)
+            )
             interest_of[id(space)] = interest
             recurse = (
                 level < self.config.max_split_depth
-                and not (pure and self.config.prune_pure_space)
+                and not (verdict.pure and self.config.prune_pure_space)
                 and opt_ok[k]
             )
             plans.append(
-                (space, pattern, interest, pure, is_contrast, recurse)
+                (space, interest, verdict.pure, verdict.is_contrast, recurse)
             )
 
-        # Sibling prefetch (batch mode): split every recursing sibling
-        # now and score all their children as one mega-batch.  The child
-        # frames then consume their precomputed verdicts in the exact
-        # DFS order below — keys within a run are pairwise distinct and
+        # Sibling prefetch: split every recursing sibling now and score
+        # all their children as one mega-batch.  The child frames then
+        # consume their precomputed verdicts in the exact DFS order
+        # below — keys within a run are pairwise distinct and
         # known_pure/threshold are run-frozen, so every probe, rule
         # check, and stats increment lands exactly as the sequential
         # per-frame order would (sums and distinct-key table adds are
         # order-independent).
         prefetch: dict[int, tuple[list[Space], list]] = {}
-        if self.batch is not None and level < self.config.max_split_depth:
-            recursing = [plan[0] for plan in plans if plan[5]]
+        if level < self.config.max_split_depth:
+            recursing = [plan[0] for plan in plans if plan[4]]
             if len(recursing) > 1:
                 child_lists = [
                     self._split_space(space) for space in recursing
@@ -360,7 +323,7 @@ class _SDADRun:
                     if not children:
                         prefetch[id(space)] = ([], [])
 
-        for space, pattern, interest, pure, is_contrast, recurse in plans:
+        for space, interest, pure, is_contrast, recurse in plans:
             if is_contrast and self.config.report_all_spaces:
                 # NP mode records every contrast space, including ones
                 # later superseded by their children or left in Dtemp.
@@ -379,9 +342,9 @@ class _SDADRun:
                 continue
 
             if pure and is_contrast:
-                if pattern is None:
-                    pattern = self._pattern_of(space)
-                self.result.pure_itemsets.append(pattern.itemset)
+                self.result.pure_itemsets.append(
+                    self._pattern_of(space).itemset
+                )
             if is_contrast:
                 contrasts_here.append(space)
 
@@ -409,17 +372,8 @@ class _SDADRun:
     _DIFF_BOUNDED_MEASURES = frozenset({"support_difference", "surprising"})
 
     def _optimistic_allows(self, space: Space, level: int) -> bool:
-        """Gate on the Eq. 6-11 child-space estimate (lines 12-13).
-
-        Only applies to measures the estimate actually bounds; for purity
-        ratio (which any space can drive to 1 in a small enough child) and
-        other measures, no admissible interest-based bound exists and the
-        recursion is gated by the other pruning rules alone.
-        """
-        if not self.config.prune_optimistic:
-            return True
-        if self.config.interest_measure not in self._DIFF_BOUNDED_MEASURES:
-            return True
+        """Gate one space on the Eq. 6-11 child-space estimate (lines
+        12-13); the caller has checked that the gate applies."""
         estimate = support_difference_estimate(
             space.counts,
             self.dataset.group_sizes,
@@ -432,11 +386,14 @@ class _SDADRun:
     def _optimistic_allows_many(
         self, spaces: list[Space], level: int
     ) -> list[bool]:
-        """Per-space :meth:`_optimistic_allows` in one kernel call.
+        """The Eq. 6-11 recursion gate per space, in one kernel call.
 
-        The gate is a pure function of each space's counts and run-frozen
-        state, and the batch estimate is bit-identical per row, so the
-        returned list matches the scalar calls element for element.
+        Only applies to measures the estimate actually bounds; for purity
+        ratio (which any space can drive to 1 in a small enough child) and
+        other measures, no admissible interest-based bound exists and the
+        recursion is gated by the other pruning rules alone.  The batch
+        estimate is bit-identical per row to the scalar one, which a
+        single space uses because it is cheaper there.
         """
         if not spaces:
             return []
@@ -446,10 +403,8 @@ class _SDADRun:
             not in self._DIFF_BOUNDED_MEASURES
         ):
             return [True] * len(spaces)
-        if self.batch is None or len(spaces) == 1:
-            return [
-                self._optimistic_allows(space, level) for space in spaces
-            ]
+        if len(spaces) == 1:
+            return [self._optimistic_allows(spaces[0], level)]
         estimates = support_difference_estimate_batch(
             np.stack([space.counts for space in spaces]),
             self.dataset.group_sizes,
@@ -458,36 +413,6 @@ class _SDADRun:
             len(self.continuous),
         )
         return [bool(e > self.min_interest) for e in estimates]
-
-    def _can_prune(
-        self, space: Space, parent: ContrastPattern, alpha: float
-    ) -> bool:
-        """Algorithm 1 line 7: lookup table + the shared rule pipeline.
-
-        The context's itemset and pattern are lazy: the pure-space rule
-        only materialises the itemset when pure regions are known, and the
-        redundancy rule only builds the pattern when the parent carries a
-        usable direction — matching what the hand-inlined sequence paid.
-        """
-        key = (self.categorical, space.key())
-        if self.pipeline.seen(key):
-            return True
-        ctx = EvaluationContext(
-            key=key,
-            config=self.config,
-            alpha=alpha,
-            level=self.pattern_level,
-            phase=PHASE_SPACE,
-            threshold=self.min_interest,
-            known_pure=self.known_pure,
-            counts=space.counts,
-            group_sizes=self.dataset.group_sizes,
-            total_count=space.total_count,
-            itemset_factory=lambda: space.itemset_with(self.categorical),
-            pattern_factory=lambda: self._pattern_of(space),
-            subset_patterns=(parent,) if parent.total_count > 0 else (),
-        )
-        return self.pipeline.evaluate(ctx).pruned
 
     # -- bottom-up merge ---------------------------------------------------
 
@@ -583,8 +508,7 @@ def sdad_cs(
     evaluator:
         Optional shared :class:`~repro.core.batch.BatchEvaluator` (built
         around the same pipeline and backend) so dataset-level caches
-        survive across runs; only consulted when
-        ``config.batch_evaluation`` is on.
+        survive across runs; a fresh one is built when omitted.
 
     Returns
     -------

@@ -61,7 +61,7 @@ from ..core.config import MinerConfig
 from ..core.contrast import ContrastPattern
 from ..core.instrumentation import MiningStats, Stopwatch
 from ..core.items import CategoricalItem, Itemset
-from ..core.pipeline import PruningPipeline, process_categorical_candidate
+from ..core.pipeline import PruningPipeline
 from ..core.pruning import PruneTable
 from ..core.sdad import sdad_cs
 from ..core.stats import AlphaLadder
@@ -186,37 +186,19 @@ def _execute_task(
             for value in attr.categories
         ]
         stats.candidates_generated += len(candidates)
-        if config.batch_evaluation:
-            # One batch per task: a task is exactly one attribute
-            # combination, so this mirrors the serial engine's per-combo
-            # batching (and its accounting) precisely.
-            evaluator = BatchEvaluator(dataset, pipeline, backend)
-            results = evaluator.process_categorical_combo(
-                candidates,
-                alpha=task.alpha,
-                level=level,
-                subset_patterns=task.subset_patterns,
-                known_pure=known_pure,
-                threshold=task.min_interest,
-            )
-        else:
-            results = (
-                process_categorical_candidate(
-                    itemset,
-                    dataset,
-                    pipeline,
-                    alpha=task.alpha,
-                    level=level,
-                    subset_patterns=task.subset_patterns,
-                    known_pure=known_pure,
-                    backend=backend,
-                    threshold=task.min_interest,
-                )
-                for itemset in candidates
-            )
+        # One batch per task: a task is exactly one attribute
+        # combination, so this mirrors the serial engine's per-combo
+        # batching (and its accounting) precisely.
+        evaluator = BatchEvaluator(dataset, pipeline, backend)
+        results = evaluator.process_categorical_combo(
+            candidates,
+            alpha=task.alpha,
+            level=level,
+            subset_patterns=task.subset_patterns,
+            known_pure=known_pure,
+            threshold=task.min_interest,
+        )
         for result in results:
-            if result is None:
-                continue
             outcome.viable_contexts.append(result.itemset)
             outcome.viable_patterns.append(result.pattern)
             if result.is_pure:

@@ -161,6 +161,7 @@ class StoredRun:
         from ..resilience.policy import ResiliencePolicy
 
         payload = dict(self.config)
+        payload.pop("batch_evaluation", None)  # retired in 1.6.0
         resilience = payload.pop("resilience", None)
         if resilience is not None:
             payload["resilience"] = ResiliencePolicy(**resilience)
@@ -407,6 +408,7 @@ class PatternStore:
 
         try:
             summary_payload = dict(meta["summary"])
+            summary_payload.pop("prune_rule_batched", None)  # retired in 1.6.0
             # JSON has no tuples; restore the dataclass's declared type.
             summary_payload["group_labels"] = tuple(
                 summary_payload["group_labels"]

@@ -1,16 +1,18 @@
-"""Batch-vs-scalar equivalence suite (DESIGN.md §12).
+"""Batch-vs-scalar kernel equivalence suite (DESIGN.md §12).
 
-Three layers of the vectorized evaluation engine are pinned here:
+Two layers of the vectorized evaluation engine are pinned here:
 
 * ``group_counts_batch`` returns exactly the stacked scalar
   ``group_counts`` rows, for every registered backend (property-based);
 * every vectorized kernel (chi-square, expected counts, prune
   predicates, optimistic estimates, interest measures) matches its
   scalar counterpart element for element — bit-identical where the
-  kernel docstring promises it, else to 1e-12;
-* a full mining run with ``batch_evaluation=True`` reproduces the
-  scalar driver's patterns *and* its per-rule prune accounting, and the
-  ``--explain-prunes`` report annotates how each rule's checks ran.
+  kernel docstring promises it, else to 1e-12.
+
+End-to-end, the batch driver is pinned to patterns and per-rule prune
+accounting frozen from the retired per-candidate driver
+(``tests/data/golden_accounting.json``, checked by
+``tests/test_golden_parity.py``).
 """
 
 from __future__ import annotations
@@ -24,10 +26,8 @@ from repro import (
     Attribute,
     CategoricalItem,
     ContrastPattern,
-    ContrastSetMiner,
     Dataset,
     Itemset,
-    MinerConfig,
     Schema,
 )
 from repro.core import measures
@@ -38,7 +38,6 @@ from repro.core.optimistic import (
     support_difference_estimate,
     support_difference_estimate_batch,
 )
-from repro.core.pipeline import format_prune_report
 from repro.core.pruning import (
     expected_count_prunes,
     expected_count_prunes_batch,
@@ -47,7 +46,6 @@ from repro.core.pruning import (
     minimum_deviation_prunes,
     minimum_deviation_prunes_batch,
 )
-from repro.core.serialize import patterns_to_dicts
 from repro.core.stats import (
     chi_square_counts,
     chi_square_counts_batch,
@@ -327,54 +325,3 @@ def test_interest_measures_batch_match_scalar(data):
             assert values[i] == pytest.approx(
                 scalar_fn(pattern), abs=1e-12
             )
-
-
-# ----------------------------------------------------------------------
-# end-to-end: batch driver == scalar driver, patterns and accounting
-# ----------------------------------------------------------------------
-
-_ACCOUNTING = (
-    "prune_rule_checks",
-    "prune_rule_hits",
-    "prune_reasons",
-    "partitions_evaluated",
-    "spaces_pruned",
-    "count_calls",
-    "cache_hits",
-)
-
-
-@pytest.mark.parametrize("backend_name", ["mask", "bitmap"])
-def test_mining_parity_batch_vs_scalar(mixed_dataset, backend_name):
-    results = {}
-    for batch in (True, False):
-        config = MinerConfig(
-            max_tree_depth=3,
-            counting_backend=backend_name,
-            batch_evaluation=batch,
-        )
-        results[batch] = ContrastSetMiner(config).mine(mixed_dataset)
-    assert patterns_to_dicts(results[True].patterns) == patterns_to_dicts(
-        results[False].patterns
-    )
-    batch_summary = results[True].summary()
-    scalar_summary = results[False].summary()
-    for field in _ACCOUNTING:
-        assert getattr(batch_summary, field) == getattr(
-            scalar_summary, field
-        ), field
-
-
-def test_prune_report_mode_column(mixed_dataset):
-    reports = {}
-    for batch in (True, False):
-        config = MinerConfig(max_tree_depth=2, batch_evaluation=batch)
-        result = ContrastSetMiner(config).mine(mixed_dataset)
-        reports[batch] = format_prune_report(result.stats)
-    for report in reports.values():
-        header = report.splitlines()[1]
-        assert header.split()[-1] == "mode"
-    # the batch driver routes every rule check through evaluate_batch;
-    # the scalar driver routes none
-    assert " batch" in reports[True] and " scalar" not in reports[True]
-    assert " scalar" in reports[False] and " batch" not in reports[False]

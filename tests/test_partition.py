@@ -155,7 +155,7 @@ class TestFindCombinations:
             "y": partition_median(ds, root, "y"),
         }
         children = find_combinations(ds, root, splits)
-        stacked = np.vstack([c.mask for c in children])
+        stacked = np.vstack([c.cover.to_dense() for c in children])
         assert (stacked.sum(axis=0) <= 1).all()
 
     def test_unsplit_attribute_kept(self):

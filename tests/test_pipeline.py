@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from repro import Attribute, Dataset, MinerConfig, Schema
+from repro.core.batch import BatchEvaluator
 from repro.core.contrast import ContrastPattern
 from repro.core.instrumentation import MiningStats
 from repro.core.items import CategoricalItem, Itemset
 from repro.core.pipeline import (
+    EvaluationBatch,
     EvaluationContext,
     OptimisticChiSquareRule,
     PruningPipeline,
     default_rules,
     format_prune_report,
-    process_categorical_candidate,
 )
 from repro.core.pruning import PruneReason, PruneTable
+from repro.counting import MaskBackend
 
 
 def make_pattern(counts, group_sizes=(100, 100), attrs=("a",)):
@@ -126,16 +128,32 @@ class TestEvaluate:
         assert decision.reason is PruneReason.REDUNDANT
 
     def test_pure_space_rule_uses_known_pure(self):
+        """The pattern-free pass cuts a candidate inside a known pure
+        region, and runs no rule that needs counts."""
         pipeline = PruningPipeline(MinerConfig())
         pure = Itemset([CategoricalItem("a", "x")])
         candidate = Itemset(
             [CategoricalItem("a", "x"), CategoricalItem("b", "y")]
         )
-        ctx = make_ctx(
-            make_pattern((90, 10)), itemset=candidate, known_pure=(pure,)
+        batch = EvaluationBatch(
+            keys=[candidate],
+            config=pipeline.config,
+            alpha=0.05,
+            known_pure=(pure,),
+            context_factory=lambda i: make_ctx(
+                make_pattern((90, 10)),
+                itemset=candidate,
+                known_pure=(pure,),
+            ),
         )
-        decision = pipeline.precheck(ctx)
-        assert decision.reason is PruneReason.PURE_SPACE
+        keep = pipeline.evaluate_batch(batch, pattern_free_only=True)
+        assert not keep[0]
+        assert (
+            pipeline.prune_table.reason_for(candidate)
+            is PruneReason.PURE_SPACE
+        )
+        assert pipeline.rule_stats["pure_space"].checks == 1
+        assert pipeline.rule_stats["empty"].checks == 0
 
     def test_optimistic_skipped_for_space_phase(self):
         """Numeric spaces are gated by Eq. 6-11 in SDAD-CS, not by the
@@ -257,6 +275,11 @@ class TestPruneTableMerge:
 
 
 class TestProcessCategoricalCandidate:
+    """The categorical candidate lifecycle of
+    :meth:`BatchEvaluator.process_categorical_combo`: lookup-table probe,
+    pure-space cut before counting, support counting, then the rule
+    chain on the counted candidates."""
+
     @pytest.fixture(scope="class")
     def dataset(self):
         rng = np.random.default_rng(7)
@@ -277,39 +300,44 @@ class TestProcessCategoricalCandidate:
             schema, {"c": c, "d": d}, group, ["g0", "g1"]
         )
 
+    @staticmethod
+    def run_combo(dataset, pipeline, candidates, level, known_pure=()):
+        """Outcomes plus the (partitions_evaluated, count_calls) deltas
+        of one combination."""
+        backend = MaskBackend(dataset)
+        evaluator = BatchEvaluator(dataset, pipeline, backend)
+        before = (pipeline.stats.partitions_evaluated, backend.count_calls)
+        outcomes = evaluator.process_categorical_combo(
+            candidates,
+            alpha=0.05,
+            level=level,
+            subset_patterns={},
+            known_pure=known_pure,
+        )
+        after = (pipeline.stats.partitions_evaluated, backend.count_calls)
+        return outcomes, (after[0] - before[0], after[1] - before[1])
+
     def test_survivor_outcome(self, dataset):
         pipeline = PruningPipeline(MinerConfig())
         itemset = Itemset([CategoricalItem("c", "u")])
-        outcome = process_categorical_candidate(
-            itemset,
-            dataset,
-            pipeline,
-            alpha=0.05,
-            level=1,
-            subset_patterns={},
-            known_pure=(),
-        )
-        assert outcome is not None
-        assert outcome.itemset == itemset
-        assert outcome.is_contrast
-        assert pipeline.stats.partitions_evaluated == 1
+        outcomes, deltas = self.run_combo(dataset, pipeline, [itemset], 1)
+        assert [outcome.itemset for outcome in outcomes] == [itemset]
+        assert outcomes[0].is_contrast
+        assert outcomes[0].pattern.total_count > 0
+        assert deltas == (1, 1)
 
     def test_table_hit_skips_evaluation(self, dataset):
         pipeline = PruningPipeline(MinerConfig())
         itemset = Itemset([CategoricalItem("c", "u")])
         pipeline.prune_table.add(itemset, PruneReason.REDUNDANT)
-        outcome = process_categorical_candidate(
-            itemset,
-            dataset,
-            pipeline,
-            alpha=0.05,
-            level=1,
-            subset_patterns={},
-            known_pure=(),
-        )
-        assert outcome is None
-        assert pipeline.stats.partitions_evaluated == 0
+        outcomes, deltas = self.run_combo(dataset, pipeline, [itemset], 1)
+        assert outcomes == []
+        # skipped before counting: no partition, no counting call
+        assert deltas == (0, 0)
         assert pipeline.stats.spaces_pruned == 1
+        assert all(
+            record.checks == 0 for record in pipeline.rule_stats.values()
+        )
 
     def test_pure_precheck_skips_counting(self, dataset):
         pipeline = PruningPipeline(MinerConfig())
@@ -317,22 +345,32 @@ class TestProcessCategoricalCandidate:
             [CategoricalItem("c", "u"), CategoricalItem("d", "p")]
         )
         pure = Itemset([CategoricalItem("c", "u")])
-        outcome = process_categorical_candidate(
-            candidate,
-            dataset,
-            pipeline,
-            alpha=0.05,
-            level=2,
-            subset_patterns={},
-            known_pure=(pure,),
+        outcomes, deltas = self.run_combo(
+            dataset, pipeline, [candidate], 2, known_pure=(pure,)
         )
-        assert outcome is None
+        assert outcomes == []
         # pruned before counting: no partition was evaluated
-        assert pipeline.stats.partitions_evaluated == 0
+        assert deltas == (0, 0)
         assert (
             pipeline.prune_table.reason_for(candidate)
             is PruneReason.PURE_SPACE
         )
+
+    def test_only_pattern_free_survivors_are_counted(self, dataset):
+        pipeline = PruningPipeline(MinerConfig())
+        inside = Itemset(
+            [CategoricalItem("c", "u"), CategoricalItem("d", "p")]
+        )
+        outside = Itemset(
+            [CategoricalItem("c", "v"), CategoricalItem("d", "p")]
+        )
+        pure = Itemset([CategoricalItem("c", "u")])
+        _, deltas = self.run_combo(
+            dataset, pipeline, [inside, outside], 2, known_pure=(pure,)
+        )
+        assert deltas == (1, 1)
+        assert pipeline.rule_stats["pure_space"].checks == 2
+        assert pipeline.rule_stats["empty"].checks == 1
 
 
 class TestReport:

@@ -286,3 +286,57 @@ class TestKillDurability:
             if not p.name.startswith(".tmp-")
         ]
         assert final_dirs == []
+
+
+class TestRetiredKeys:
+    """Runs stored by v1.5.0 carry two keys that 1.6.0 retired: the
+    config's ``batch_evaluation`` and the summary's
+    ``prune_rule_batched``.  They must load and serve, not quarantine."""
+
+    def _write_as_v150(self, store, run_id):
+        meta = store.root / "runs" / run_id / "meta.json"
+        payload = json.loads(meta.read_text())
+        payload["config"]["batch_evaluation"] = True
+        payload["summary"]["prune_rule_batched"] = dict(
+            payload["summary"]["prune_rule_checks"]
+        )
+        meta.write_text(json.dumps(payload))
+        return meta, payload
+
+    def test_v150_run_loads(self, store, result):
+        run_id = store.put(result)
+        self._write_as_v150(store, run_id)
+        run = store.get(run_id)
+        assert run.patterns == result.patterns
+        assert run.summary == result.summary()
+        assert run.miner_config() == result.config
+
+    def test_v150_run_serves(self, store, result):
+        import http.client
+
+        from repro.serve.server import PatternServer, ServeConfig
+
+        run_id = store.put(result)
+        self._write_as_v150(store, run_id)
+        server = PatternServer(store, ServeConfig(port=0))
+        host, port = server.start()
+        try:
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                conn.request("GET", f"/runs/{run_id}/patterns")
+                response = conn.getresponse()
+                response.read()
+            finally:
+                conn.close()
+            assert response.status == 200
+        finally:
+            server.stop()
+        assert [info.run_id for info in store.list_runs()] == [run_id]
+
+    def test_other_unknown_summary_key_still_corrupt(self, store, result):
+        run_id = store.put(result)
+        meta, payload = self._write_as_v150(store, run_id)
+        payload["summary"]["prune_rule_mystery"] = {}
+        meta.write_text(json.dumps(payload))
+        with pytest.raises(CorruptRunError, match="malformed summary"):
+            store.get(run_id)
