@@ -12,6 +12,7 @@ import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,12 @@ from repro.resilience import (
 )
 
 CONFIG = MinerConfig(max_tree_depth=2)
+
+#: A level-2 checkpoint of ``mixed_dataset`` at depth 3, written by
+#: release 1.6.0.
+V1_6_0_CHECKPOINT = (
+    Path(__file__).parent / "data" / "v1_6_0" / "checkpoint-level-02.pkl"
+)
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +151,25 @@ class TestCompatibility:
         )
         assert patterns_to_dicts(resumed.patterns) == patterns_to_dicts(
             result.patterns
+        )
+
+
+class TestOlderRelease:
+    def test_checkpoint_written_by_1_6_0_resumes_exactly(
+        self, mixed_dataset
+    ):
+        config = MinerConfig(max_tree_depth=3)
+        resumed = ContrastSetMiner(config).resume(
+            V1_6_0_CHECKPOINT, dataset=mixed_dataset
+        )
+        assert resumed.stats.resumed_from_level == 2
+        full = ContrastSetMiner(config).mine(mixed_dataset)
+        assert patterns_to_dicts(resumed.patterns) == patterns_to_dicts(
+            full.patterns
+        )
+        assert (
+            resumed.meaningfulness().meaningful
+            == full.meaningfulness().meaningful
         )
 
 

@@ -18,20 +18,32 @@ probes, partitions evaluated, counting calls, ...).  It was generated
 once from the per-candidate scalar driver of v1.5.0 and is never
 regenerated: it pins verdict dispatch and prune accounting for the
 batch driver that replaced it.
+
+``tests/data/golden_meaningful.json`` freezes the meaningfulness
+verdicts (paper Sec. 4.3, Table 6): for the five golden datasets at
+depth 2, ``mixed_dataset`` at depth 3 and the Adult stand-in at depth 3
+(so 3-item patterns are classified too), under the default config and
+``no_pruning()``, it records the pattern count and the three per-pattern
+flag lists of :func:`classify_patterns`.  It was generated once from
+the filters of v1.6.0, which evaluated every subset and partition of
+every pattern afresh, and is never regenerated.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from repro import ContrastSetMiner, MinerConfig
+from repro import ChunkedDataset, ContrastSetMiner, MinerConfig
+from repro.core.meaningful import classify_patterns
 from repro.core.serialize import patterns_to_dicts
 from repro.dataset import synthetic, uci
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_patterns.json"
 ACCOUNTING_PATH = Path(__file__).parent / "data" / "golden_accounting.json"
+MEANINGFUL_PATH = Path(__file__).parent / "data" / "golden_meaningful.json"
 
 LOADERS = {
     "simulated_dataset_1": synthetic.simulated_dataset_1,
@@ -151,3 +163,50 @@ def test_parallel_accounting_matches_golden(
     config = _accounting_config(name, "default", "mask")
     result = ContrastSetMiner(config).mine(dataset, n_jobs=2)
     assert _accounting_entry(result) == golden_accounting[name]["default"]
+
+
+#: Search depth per meaningfulness entry; ``adult_d3`` is the Adult
+#: stand-in at depth 3.
+MEANINGFUL_DEPTHS = {**ACCOUNTING_DEPTHS, "adult_d3": 3}
+
+
+@pytest.fixture(scope="module")
+def golden_meaningful():
+    with MEANINGFUL_PATH.open() as handle:
+        return json.load(handle)
+
+
+def _meaningful_entry(report) -> dict:
+    """What one classification is pinned by in ``golden_meaningful.json``."""
+    return {
+        "n_patterns": len(report.patterns),
+        "redundant": report.redundant,
+        "unproductive": report.unproductive,
+        "not_independently_productive": report.not_independently_productive,
+    }
+
+
+@pytest.mark.parametrize("config_name", ["default", "no_pruning"])
+@pytest.mark.parametrize("name", sorted(MEANINGFUL_DEPTHS))
+def test_meaningfulness_matches_golden(
+    golden_meaningful, request, tmp_path, name, config_name
+):
+    """Same verdicts in memory and on a 3-chunk out-of-core view."""
+    dataset = _accounting_dataset(name.removesuffix("_d3"), request)
+    config = ACCOUNTING_CONFIGS[config_name](
+        MinerConfig(max_tree_depth=MEANINGFUL_DEPTHS[name])
+    )
+    patterns = ContrastSetMiner(config).mine(dataset).patterns
+    expected = golden_meaningful[name][config_name]
+
+    report = classify_patterns(patterns, dataset)
+    assert _meaningful_entry(report) == expected
+
+    store = ChunkedDataset.pack(
+        tmp_path / "store",
+        dataset,
+        chunk_size=math.ceil(dataset.n_rows / 3),
+    )
+    view = store.view()
+    assert view.n_chunks == 3
+    assert _meaningful_entry(classify_patterns(patterns, view)) == expected
