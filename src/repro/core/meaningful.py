@@ -19,7 +19,7 @@ the Table 6 census by :func:`classify_patterns`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,23 @@ __all__ = [
 ]
 
 
+#: Counts-only patterns by itemset, shared by every filter of one
+#: :func:`classify_patterns` call so each distinct itemset (a pattern, a
+#: leave-one-out subset, a partition side) is counted once.  It holds
+#: counts, never covers: a dense cover per itemset would cost a mask of
+#: ``n_rows`` bytes each.
+_Memo = dict[Itemset, ContrastPattern]
+
+
+def _evaluate(
+    itemset: Itemset, dataset: Dataset, memo: _Memo
+) -> ContrastPattern:
+    pattern = memo.get(itemset)
+    if pattern is None:
+        pattern = memo[itemset] = evaluate_itemset(itemset, dataset)
+    return pattern
+
+
 def _immediate_subsets(itemset: Itemset) -> list[Itemset]:
     return [
         itemset.without_attribute(attr) for attr in itemset.attributes
@@ -57,10 +74,16 @@ def is_redundant(
     specialised item adds nothing (e.g. *pregnant & female* vs
     *pregnant*).  Level-1 patterns are never redundant.
     """
+    return _is_redundant(pattern, dataset, alpha, {})
+
+
+def _is_redundant(
+    pattern: ContrastPattern, dataset: Dataset, alpha: float, memo: _Memo
+) -> bool:
     if len(pattern.itemset) <= 1:
         return False
     for subset in _immediate_subsets(pattern.itemset):
-        sub_pattern = evaluate_itemset(subset, dataset)
+        sub_pattern = _evaluate(subset, dataset, memo)
         if redundant_against_subset(pattern, sub_pattern, alpha):
             return True
     return False
@@ -85,6 +108,12 @@ def is_productive(
 
     Level-1 patterns are productive by definition.
     """
+    return _is_productive(pattern, dataset, alpha, {})
+
+
+def _is_productive(
+    pattern: ContrastPattern, dataset: Dataset, alpha: float, memo: _Memo
+) -> bool:
     itemset = pattern.itemset
     if len(itemset) <= 1:
         return True
@@ -100,17 +129,10 @@ def is_productive(
         x, y = y, x
     diff_c = supports[x] - supports[y]
 
-    cover_cache: dict[Itemset, np.ndarray] = {}
-
-    def cover(sub: Itemset) -> np.ndarray:
-        if sub not in cover_cache:
-            cover_cache[sub] = sub.cover(dataset)
-        return cover_cache[sub]
-
-    group_codes = dataset.group_codes
+    n_x = dataset.group_sizes[x]
     for part_a, part_b in itemset.partitions():
-        pat_a = evaluate_itemset(part_a, dataset)
-        pat_b = evaluate_itemset(part_b, dataset)
+        pat_a = _evaluate(part_a, dataset, memo)
+        pat_b = _evaluate(part_b, dataset, memo)
         expected_diff = (
             pat_a.supports[x] * pat_b.supports[x]
             - pat_a.supports[y] * pat_b.supports[y]
@@ -118,13 +140,15 @@ def is_productive(
         if diff_c <= expected_diff:
             return False
         # Significance: association between the parts inside group x.
-        in_x = group_codes == x
-        a_mask = cover(part_a)[in_x]
-        b_mask = cover(part_b)[in_x]
+        # The itemset's cover is the AND of its parts' covers, so the
+        # 2x2 table of the parts' coverage in x follows from counts.
+        n_ab = _evaluate(itemset, dataset, memo).counts[x]
+        n_a = pat_a.counts[x]
+        n_b = pat_b.counts[x]
         table = np.array(
             [
-                [np.sum(a_mask & b_mask), np.sum(a_mask & ~b_mask)],
-                [np.sum(~a_mask & b_mask), np.sum(~a_mask & ~b_mask)],
+                [n_ab, n_a - n_ab],
+                [n_b - n_ab, n_x - n_a - n_b + n_ab],
             ],
             dtype=np.float64,
         )
@@ -235,8 +259,11 @@ def classify_patterns(
     independently productive (Table 6's meaningful-vs-meaningless counts).
     """
     patterns = list(patterns)
-    redundant = [is_redundant(p, dataset, alpha) for p in patterns]
-    unproductive = [not is_productive(p, dataset, alpha) for p in patterns]
+    memo: _Memo = {}
+    redundant = [_is_redundant(p, dataset, alpha, memo) for p in patterns]
+    unproductive = [
+        not _is_productive(p, dataset, alpha, memo) for p in patterns
+    ]
     independent = independently_productive_mask(patterns, dataset, alpha)
     return MeaningfulnessReport(
         patterns=patterns,

@@ -238,7 +238,8 @@ class CountingBackendBase:
     def cover_group_counts(self, cover: Cover) -> np.ndarray:
         """Per-group counts inside a packed cover.
 
-        Reference fallback: densify and ``bincount`` — the historical
+        Reference fallback: densify and count with
+        :meth:`Dataset.group_counts` — the historical
         ``mask_group_counts`` semantics, including its single
         ``count_calls`` tally.  Packed backends override with AND +
         popcount counting.

@@ -2,9 +2,10 @@
 
 This extracts exactly the counting logic the search layers used inline
 before backends existed: itemset coverage is the AND of per-item boolean
-masks over the raw columns, and per-group counting is a ``bincount`` of the
-group codes inside the mask.  It is the byte-identical baseline every other
-backend must match.
+masks over the raw columns, and per-group counting ANDs that mask with each
+group's cached row mask and counts the hits
+(:meth:`~repro.dataset.table.Dataset.group_counts`).  It is the
+byte-identical baseline every other backend must match.
 
 Batches count each categorical combination once.  Every purely
 categorical candidate is one row of its attribute set's group-by-itemset

@@ -231,16 +231,41 @@ class Dataset:
         """Per-group row counts, optionally restricted to a boolean mask.
 
         This is the core counting primitive: ``group_counts(cover(itemset))``
-        yields ``count_k(c)`` for every group ``k`` in one pass (Eq. 1).
+        yields ``count_k(c)`` for every group ``k`` (Eq. 1).  A masked
+        count ANDs the mask with each group's row mask and counts the
+        hits: no gather of the masked ``int64`` group codes (DESIGN.md
+        §7).
         """
         if mask is None:
+            return np.bincount(self._group_codes, minlength=self.n_groups)
+        mask = np.asarray(mask)
+        if mask.dtype != np.bool_ or mask.shape != (self.n_rows,):
+            raise DatasetError("mask must be a boolean array over rows")
+        hits = np.empty_like(mask)
+        counts = np.empty(self.n_groups, dtype=np.int64)
+        for k, in_group in enumerate(self._in_group()):
+            np.logical_and(mask, in_group, out=hits)
+            counts[k] = np.count_nonzero(hits)
+        return counts
+
+    def _in_group(self) -> tuple[np.ndarray, ...]:
+        """One boolean row mask per group (G bytes per row), built on
+        first use and kept for the dataset's lifetime; pickles leave it
+        out (see :meth:`__getstate__`)."""
+        masks = self.__dict__.get("_group_row_masks")
+        if masks is None:
             codes = self._group_codes
-        else:
-            mask = np.asarray(mask)
-            if mask.dtype != np.bool_ or mask.shape != self._group_codes.shape:
-                raise DatasetError("mask must be a boolean array over rows")
-            codes = self._group_codes[mask]
-        return np.bincount(codes, minlength=self.n_groups)
+            masks = tuple(codes == k for k in range(self.n_groups))
+            self._group_row_masks = masks
+        return masks
+
+    def __getstate__(self) -> dict:
+        # The row masks are a cache over the group codes: pickles stay
+        # as small as (and byte-compatible with) those of 1.6.0, which
+        # had no such attribute and rebuild it on first use.
+        state = self.__dict__.copy()
+        state.pop("_group_row_masks", None)
+        return state
 
     def supports(self, mask: np.ndarray | None = None) -> np.ndarray:
         """Per-group supports ``supp_k = count_k / |g_k|`` (Eq. 1).
