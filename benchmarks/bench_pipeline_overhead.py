@@ -1,19 +1,21 @@
 """Pipeline dispatch overhead vs the same batch kernels called directly.
 
 Every miner judges its candidates through ``PruningPipeline.
-evaluate_batch``: one call per SDAD-CS sibling frame and two per
-categorical attribute combination (the pattern-free rules before
-counting, the rest after).  Around the rule kernels, each call pays for
-an ``EvaluationBatch``, the rule plan, per-rule hit counters,
-``perf_counter`` timing and the prune-table bookkeeping.  This bench
-bounds that cost: the added per-call overhead, scaled by the number of
-``evaluate_batch`` calls a real depth-3 Adult run makes, must stay under
-5% of that run's end-to-end wall time.
+evaluate_batch``: one call per SDAD-CS sibling frame and two per run
+of consecutive categorical attribute combinations (the pattern-free
+rules before counting, the rest after).  Around the rule kernels, each
+call pays for an ``EvaluationBatch``, the rule plan, per-rule hit
+counters, ``perf_counter`` timing and the prune-table bookkeeping.
+This bench bounds that cost: the added per-call overhead, scaled by the
+number of ``evaluate_batch`` calls a real depth-3 Adult run makes, must
+stay under 5% of that run's end-to-end wall time.
 
 Both micro loops judge the same batches — sibling frames of the SDAD-CS
-space phase, and a categorical combination's pre-counting and counted
-passes — and run the same kernels on the same surviving rows in the
-same rule order; only the pipeline machinery differs.  They are timed
+space phase, and a run of categorical candidates' pre-counting and
+counted passes, built as ``BatchEvaluator.process_categorical_combo``
+builds them, with the previous level's pattern map — and run the same
+kernels on the same surviving rows in the same rule order, the
+redundancy test included; only the pipeline machinery differs.  They are timed
 in ``PAIRS`` back-to-back pairs, which side goes first alternating from
 pair to pair, and the per-call overhead is the median of the per-pair
 differences: a drift of machine speed moves both sides of a pair alike
@@ -40,10 +42,7 @@ from repro.core.pipeline import (
     PruningPipeline,
     chi2_critical,
 )
-from repro.core.pruning import (
-    redundant_against_subset,
-    redundant_against_subset_batch,
-)
+from repro.core.pruning import redundant_against_subset_batch
 from repro.dataset.uci import adult
 
 MICRO_ROUNDS = 2000
@@ -64,7 +63,10 @@ def _make_pattern(counts, attrs):
 
 def _case(phase, rows, subset, mode="all"):
     """One ``evaluate_batch`` call: candidate patterns (keys and counts),
-    the subset they are compared against, and which rules run."""
+    the subset they are compared against, and which rules run.  An
+    itemset candidate ``{<phase><i>, z}`` finds the subset under its
+    leave-one-out subset ``{z}`` in the pattern map; ``{<phase><i>}`` is
+    missing from it."""
     patterns = [
         _make_pattern(counts, (f"{phase}{i}", "z"))
         for i, counts in enumerate(rows)
@@ -75,6 +77,7 @@ def _case(phase, rows, subset, mode="all"):
         "keys": [p.itemset for p in patterns],
         "counts": np.asarray(rows, dtype=np.int64),
         "subset": subset,
+        "subset_patterns": {Itemset([CategoricalItem("z", "x")]): subset},
         "mode": mode,
     }
 
@@ -82,7 +85,7 @@ def _case(phase, rows, subset, mode="all"):
 def _workload():
     """A mine's mix of calls: mostly SDAD-CS frames of 2-4 children
     whose rows leave the chain at different rules, plus one categorical
-    combination's two passes."""
+    run's two passes."""
     parent = _make_pattern((720, 150), ("a",))
     frames = [
         _case(PHASE_SPACE, [(700, 80), (20, 70), (0, 0), (9, 3)], parent),
@@ -132,6 +135,7 @@ def _batch(case, config) -> EvaluationBatch:
         level=2,
         counts=None if case["mode"] == "pattern_free" else case["counts"],
         group_sizes=SIZES,
+        subset_patterns=case["subset_patterns"],
         context_factory=context,
     )
 
@@ -174,19 +178,32 @@ def _inlined(case, config) -> np.ndarray:
         critical = chi2_critical(config.alpha, len(SIZES) - 1)
         bounds = chi_square_estimate_batch(counts[alive], SIZES)
         alive = alive[~(bounds < critical)]
-        redundant = np.fromiter(
-            (
-                redundant_against_subset(
-                    case["patterns"][i], case["subset"], config.alpha
-                )
-                for i in alive
-            ),
-            dtype=bool,
-            count=len(alive),
-        )
+        # the leave-one-out lookups of the rule, then one kernel call
+        # over the (candidate, subset) pairs found
+        subsets = case["subset_patterns"]
+        pos, found = [], []
+        for j, i in enumerate(alive):
+            itemset = case["keys"][i]
+            for attribute in itemset.attributes:
+                hit = subsets.get(itemset.without_attribute(attribute))
+                if hit is not None:
+                    pos.append(j)
+                    found.append(hit)
+        pos = np.asarray(pos, dtype=np.intp)
+        redundant = np.zeros(len(alive), dtype=bool)
+        if len(pos):
+            hits = redundant_against_subset_batch(
+                supports[alive[pos]],
+                np.asarray([s.supports for s in found]),
+                np.asarray([s.group_sizes for s in found]),
+                config.alpha,
+            )
+            redundant[pos[hits]] = True
     else:
+        subset = case["subset"]
         redundant = redundant_against_subset_batch(
-            supports[alive], case["subset"], config.alpha
+            supports[alive], subset.supports, subset.group_sizes,
+            config.alpha,
         )
     keep[:] = False
     keep[alive[~redundant]] = True

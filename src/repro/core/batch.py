@@ -5,9 +5,10 @@ pass down the rule chain, and one verdict — a handful of numpy calls on
 tiny arrays, where the fixed per-call overhead dominates the arithmetic.
 
 :class:`BatchEvaluator` is the miners' one path from candidate to
-verdict, built around *batches*: all candidates of one (level,
-attribute-combination) — or all child spaces of one SDAD-CS region —
-become a single ``(N, n_groups)`` counts matrix that flows through
+verdict, built around *batches*: all candidates of one run of
+categorical attribute combinations at a level — or the child spaces of
+one recursion level of an SDAD-CS run — become a single
+``(N, n_groups)`` counts matrix that flows through
 
 * :meth:`repro.counting.CountingBackend.group_counts_batch` (one stacked
   counting sweep instead of N calls),
@@ -170,14 +171,17 @@ class BatchEvaluator:
         known_pure: Sequence[Itemset],
         threshold: float = 0.0,
     ) -> list[CandidateOutcome]:
-        """All candidates of one categorical combination, batched.
+        """Candidates of one or more categorical combinations, batched.
 
         Returns the surviving candidates' outcomes in candidate order.
         Each candidate is probed in the lookup table, then judged by the
         pattern-free rules (pure-space) before counting, and by the
-        remaining rules after.  Candidate keys within a combination are
-        distinct, so probing the lookup table for all of them up front
-        sees the same table state a one-at-a-time order would.
+        remaining rules after.  Candidate keys are distinct, within a
+        combination and across combinations, so probing the lookup table
+        for all of them up front sees the same table state a
+        one-at-a-time order would.  ``subset_patterns`` is the previous
+        level's pattern map, which the redundancy rule searches for each
+        candidate's leave-one-out subsets.
         """
         pipeline = self.pipeline
         config = self.config
@@ -265,6 +269,7 @@ class BatchEvaluator:
             known_pure=known_pure,
             counts=counts,
             group_sizes=sizes,
+            subset_patterns=subset_patterns,
             context_factory=evaluate_context,
         )
         kept_mask = pipeline.evaluate_batch(batch, skip_pattern_free=True)

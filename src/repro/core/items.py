@@ -242,7 +242,13 @@ class Itemset:
         return Itemset(self._items + (item,))
 
     def without_attribute(self, attribute: str) -> "Itemset":
-        return Itemset(i for i in self._items if i.attribute != attribute)
+        # Dropping items keeps the rest canonical, so the constructor's
+        # validation and sort are skipped (the redundancy rule builds
+        # every leave-one-out subset of a level through here).
+        out = object.__new__(Itemset)
+        out._items = tuple(i for i in self._items if i.attribute != attribute)
+        out._hash = hash(out._items)
+        return out
 
     def union(self, other: "Itemset") -> "Itemset":
         return Itemset(self._items + other._items)

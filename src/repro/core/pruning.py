@@ -239,48 +239,58 @@ def expected_count_prunes_batch(
 
 def redundant_against_subset_batch(
     supports: np.ndarray,
-    subset: ContrastPattern,
+    subset_supports: np.ndarray,
+    subset_sizes: np.ndarray,
     alpha: float,
 ) -> np.ndarray:
-    """CLT redundancy test of N patterns against one shared subset.
+    """CLT redundancy test of N (pattern, subset) pairs (Eq. 14-16).
 
-    ``supports`` holds each pattern's per-group support row (the exact
-    values ``ContrastPattern.supports`` would expose).  The SDAD-CS space
-    phase always compares every child space against the same parent
-    region, so the subset's extreme pair, difference, and CLT band are
-    computed once; only the tied-subset branch — where the scalar rule
-    falls back to each pattern's own extreme pair — needs per-row
-    gathers.
+    Row ``i`` tests the pattern whose per-group supports are
+    ``supports[i]`` (the exact values ``ContrastPattern.supports`` would
+    expose) against the subset whose supports and group sizes are
+    ``subset_supports[i]`` and ``subset_sizes[i]``.  Each row is exactly
+    :func:`redundant_against_subset` on its pair: the extreme pair is the
+    subset's first argmax and first argmin, a tied subset falls back to
+    the pattern's own extreme pair (``lo = (hi + 1) % G`` when that ties
+    too), an empty group gives an infinite bound, and the bound uses the
+    subset's own group sizes.
+
+    One-dimensional ``subset_supports``/``subset_sizes`` are one subset
+    shared by every pattern — an SDAD-CS frame's parent region — whose
+    extreme pair and CLT band are then computed once.
     """
     sup = np.asarray(supports, dtype=np.float64)
     n, g = sup.shape
-    ss = subset.supports
-    hi = max(range(len(ss)), key=ss.__getitem__)
-    lo = min(range(len(ss)), key=ss.__getitem__)
-    if ss[hi] != ss[lo]:
-        diff_subset = ss[hi] - ss[lo]
-        diff_current = sup[:, hi] - sup[:, lo]
-        bound = clt_difference_bound(
-            ss[hi], ss[lo],
-            subset.group_sizes[hi], subset.group_sizes[lo], alpha,
-        )
-        return np.abs(diff_current - diff_subset) <= bound
-    # Tied subset: per-pattern extreme pair (first argmax / first argmin,
-    # matching Python's max()/min() over the support tuple).
-    hi_i = np.argmax(sup, axis=1)
-    lo_i = np.argmin(sup, axis=1)
-    lo_i = np.where(hi_i == lo_i, (hi_i + 1) % g, lo_i)
-    ss_arr = np.asarray(ss, dtype=np.float64)
-    sn_arr = np.asarray(subset.group_sizes, dtype=np.float64)
-    s_hi = ss_arr[hi_i]
-    s_lo = ss_arr[lo_i]
+    sub = np.asarray(subset_supports, dtype=np.float64)
+    sub_n = np.asarray(subset_sizes, dtype=np.float64)
+    if sub.ndim == 1:
+        hi, lo = int(sub.argmax()), int(sub.argmin())
+        s_hi, s_lo = float(sub[hi]), float(sub[lo])
+        if s_hi != s_lo:
+            bound = clt_difference_bound(
+                s_hi, s_lo, sub_n[hi], sub_n[lo], alpha
+            )
+            diff_current = sup[:, hi] - sup[:, lo]
+            return np.abs(diff_current - (s_hi - s_lo)) <= bound
+        sub = np.broadcast_to(sub, (n, g))
+        sub_n = np.broadcast_to(sub_n, (n, g))
     rows = np.arange(n)
-    diff_current = sup[rows, hi_i] - sup[rows, lo_i]
-    diff_subset = s_hi - s_lo
+    hi = np.argmax(sub, axis=1)
+    lo = np.argmin(sub, axis=1)
+    tied = sub[rows, hi] == sub[rows, lo]
+    if tied.any():
+        own_hi = np.argmax(sup, axis=1)
+        own_lo = np.argmin(sup, axis=1)
+        own_lo = np.where(own_hi == own_lo, (own_hi + 1) % g, own_lo)
+        hi = np.where(tied, own_hi, hi)
+        lo = np.where(tied, own_lo, lo)
+    s_hi = sub[rows, hi]
+    s_lo = sub[rows, lo]
+    diff_current = sup[rows, hi] - sup[rows, lo]
     bound = clt_difference_bound_batch(
-        s_hi, s_lo, sn_arr[hi_i], sn_arr[lo_i], alpha
+        s_hi, s_lo, sub_n[rows, hi], sub_n[rows, lo], alpha
     )
-    return np.abs(diff_current - diff_subset) <= bound
+    return np.abs(diff_current - (s_hi - s_lo)) <= bound
 
 
 def is_pure_space_batch(

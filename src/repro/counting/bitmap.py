@@ -150,20 +150,23 @@ class BitmapBackend(CountingBackendBase):
         return self._count_mask(self.cover(itemset))
 
     def group_counts_batch(self, itemsets) -> np.ndarray:
-        """Stacked counts: one packed-AND + popcount sweep over the batch.
+        """Stacked counts: one packed-AND + popcount sweep per slab.
 
         Purely categorical itemsets (the level-wise hot path) are counted
-        together: their packed coverage vectors are stacked into an
-        ``(N, n_words)`` matrix and ANDed against the per-group stack in
-        slabs, so the whole batch costs a handful of fused ufunc calls.
-        Itemsets with numeric items take the scalar hybrid path and are
-        tallied as fallbacks.
+        together: their packed coverage vectors are stacked into slabs of
+        at most ``_BATCH_SLAB_BYTES`` worth of ``(slab, n_groups,
+        n_words)`` AND results, and each slab is ANDed against the
+        per-group stack as soon as it fills, so a batch of any size holds
+        one slab of packed rows at a time.  Itemsets with numeric items
+        take the scalar hybrid path and are tallied as fallbacks.
         """
         items = list(itemsets)
         self.batch_calls += 1
         self.batched_candidates += len(items)
         self.count_calls += len(items)
         n_groups = self.dataset.n_groups
+        n_words = self._group_stack.shape[1]
+        slab = max(1, _BATCH_SLAB_BYTES // max(1, n_groups * n_words))
         out = np.zeros((len(items), n_groups), dtype=np.int64)
         packed_rows: list[np.ndarray] = []
         packed_pos: list[int] = []
@@ -172,22 +175,22 @@ class BitmapBackend(CountingBackendBase):
             if rest:
                 self.batch_fallbacks += 1
                 out[i] = self._count_mask(self.cover(itemset))
-            else:
-                packed_rows.append(self._bits(categorical))
-                packed_pos.append(i)
+                continue
+            packed_rows.append(self._bits(categorical))
+            packed_pos.append(i)
+            if len(packed_rows) == slab:
+                self._count_slab(packed_rows, packed_pos, out)
+                packed_rows, packed_pos = [], []
         if packed_rows:
-            stacked = np.stack(packed_rows)
-            pos = np.asarray(packed_pos, dtype=np.intp)
-            n_words = stacked.shape[1]
-            slab = max(1, _BATCH_SLAB_BYTES // max(1, n_groups * n_words))
-            for start in range(0, stacked.shape[0], slab):
-                chunk = stacked[start : start + slab]
-                anded = chunk[:, None, :] & self._group_stack[None, :, :]
-                counts = popcount_rows(
-                    anded.reshape(-1, n_words)
-                ).reshape(chunk.shape[0], n_groups)
-                out[pos[start : start + slab]] = counts
+            self._count_slab(packed_rows, packed_pos, out)
         return out
+
+    def _count_slab(self, packed_rows, positions, out) -> None:
+        chunk = np.stack(packed_rows)
+        anded = chunk[:, None, :] & self._group_stack[None, :, :]
+        out[positions] = popcount_rows(
+            anded.reshape(-1, chunk.shape[1])
+        ).reshape(chunk.shape[0], -1)
 
     def _count_mask(self, mask: np.ndarray) -> np.ndarray:
         return self._counts_of_bits(np.packbits(mask))

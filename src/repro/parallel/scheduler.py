@@ -186,9 +186,10 @@ def _execute_task(
             for value in attr.categories
         ]
         stats.candidates_generated += len(candidates)
-        # One batch per task: a task is exactly one attribute
-        # combination, so this mirrors the serial engine's per-combo
-        # batching (and its accounting) precisely.
+        # One batch per task, and a task is one attribute combination,
+        # where the serial engine batches a whole run of combinations.
+        # Every counter is a sum over candidates, so the merged totals
+        # still equal the serial ones (DESIGN.md §12).
         evaluator = BatchEvaluator(dataset, pipeline, backend)
         results = evaluator.process_categorical_combo(
             candidates,

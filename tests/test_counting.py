@@ -136,6 +136,58 @@ class TestBackendUnits:
             )
 
 
+def test_bitmap_batch_stacks_one_slab_at_a_time(monkeypatch):
+    """A batch spanning several slabs, with numeric itemsets taking the
+    fallback path between them, counts every row exactly and never
+    stacks more than one slab of packed rows."""
+    from repro.counting import bitmap as bitmap_module
+
+    dataset = adult(scale=0.05)
+    backend = BitmapBackend(dataset)
+    n_words = (dataset.n_rows + 7) // 8
+    slab = 3
+    monkeypatch.setattr(
+        bitmap_module,
+        "_BATCH_SLAB_BYTES",
+        slab * dataset.n_groups * n_words,
+    )
+    stacked: list[int] = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def stack(self, arrays, *args, **kwargs):
+            stacked.append(len(arrays))
+            return np.stack(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(bitmap_module, "np", RecordingNumpy())
+    sex, race = dataset.attribute("sex"), dataset.attribute("race")
+    age = NumericItem("age", Interval(30.0, 50.0, True, False))
+    itemsets = [Itemset()]
+    for s in sex.categories:
+        itemsets.append(Itemset([CategoricalItem("sex", s)]))
+        for r in race.categories:
+            pair = Itemset(
+                [CategoricalItem("sex", s), CategoricalItem("race", r)]
+            )
+            itemsets += [pair, pair.with_item(age)]
+    n_categorical = sum(
+        all(isinstance(item, CategoricalItem) for item in itemset)
+        for itemset in itemsets
+    )
+    assert n_categorical > 2 * slab
+
+    batch = backend.group_counts_batch(itemsets)
+    assert backend.batch_fallbacks == len(itemsets) - n_categorical
+    assert max(stacked) <= slab
+    assert sum(stacked) == n_categorical
+    for i, itemset in enumerate(itemsets):
+        np.testing.assert_array_equal(
+            batch[i], backend.group_counts(itemset)
+        )
+
+
 class TestCounters:
     def test_count_calls_recorded(self, categorical_dataset):
         backend = BitmapBackend(categorical_dataset)
