@@ -36,6 +36,20 @@ stand-in and the 8 of the Adult stand-in, under the default config and
 was generated once by the engine that judged one attribute combination
 per batch and is never regenerated.  Its ``stucco`` block is checked by
 ``tests/test_stucco.py``.
+
+``tests/data/golden_chunked.json`` freezes mines of continuous columns
+with missing values, where median splits drop NaN rows from their
+sample and from both halves: a ``mixed_dataset``-style table with runs
+of NaN that chunk boundaries cut, ``±inf`` and heavy ties at the
+maximum (depth 3), and the manufacturing case study with 5% sensor
+dropouts (depth 2), under the default config, ``no_pruning()`` and
+``split_statistic="mean"``, with the entry shape of the accounting
+grid.  Each entry is checked in memory and on 1-, 3- and 7-chunk
+views, at the default gather budget and with the budget below the row
+count, so the streaming selector runs and no split holds chunk columns.
+A mine that raises is frozen as its error.  The file was generated once
+by the engine whose combine step re-read every split column, and is
+never regenerated.
 """
 
 import hashlib
@@ -43,17 +57,28 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro import ChunkedDataset, ContrastSetMiner, MinerConfig
+from repro import (
+    Attribute,
+    ChunkedDataset,
+    ContrastSetMiner,
+    Dataset,
+    MinerConfig,
+    Schema,
+)
+from repro.core import partition
 from repro.core.meaningful import classify_patterns
 from repro.core.serialize import patterns_to_dicts
 from repro.dataset import synthetic, uci
+from repro.dataset.manufacturing import manufacturing
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_patterns.json"
 ACCOUNTING_PATH = Path(__file__).parent / "data" / "golden_accounting.json"
 MEANINGFUL_PATH = Path(__file__).parent / "data" / "golden_meaningful.json"
 CATEGORICAL_PATH = Path(__file__).parent / "data" / "golden_categorical.json"
+CHUNKED_PATH = Path(__file__).parent / "data" / "golden_chunked.json"
 
 LOADERS = {
     "simulated_dataset_1": synthetic.simulated_dataset_1,
@@ -259,3 +284,138 @@ def test_categorical_depth3_matches_golden(
     result = _mine_categorical(name, config_name, backend, n_jobs)
     expected = golden_categorical["miner"][name][config_name]
     assert _accounting_entry(result) == expected
+
+
+def _mixed_with_gaps() -> Dataset:
+    """``mixed_dataset`` with missing and infinite values and heavy ties.
+
+    ``x`` loses three runs of rows to NaN, each cut by a boundary of the
+    3- or 7-chunk layout; ``noise`` holds ``+inf`` and ``-inf``; about
+    60% of ``load`` sits at its maximum, so its root split takes the
+    heavy-ties fallback, and ``load`` misses three single rows.
+    """
+    rng = np.random.default_rng(12345)
+    n = 600
+    group = rng.integers(0, 2, n)
+    x = np.where(
+        group == 0, rng.uniform(0, 0.5, n), rng.uniform(0.5, 1.0, n)
+    )
+    noise = rng.uniform(0, 1, n)
+    load = np.where(
+        rng.uniform(0, 1, n) < np.where(group == 1, 0.7, 0.5),
+        5.0,
+        rng.uniform(0, 5, n),
+    )
+    color = rng.integers(0, 3, n)
+    for lo, hi in ((80, 95), (195, 205), (425, 436)):
+        x[lo:hi] = np.nan
+    noise[[10, 300, 511]] = np.inf
+    noise[[50, 420]] = -np.inf
+    load[[3, 250, 599]] = np.nan
+    schema = Schema.of(
+        [
+            Attribute.continuous("x"),
+            Attribute.continuous("noise"),
+            Attribute.continuous("load"),
+            Attribute.categorical("color", ["red", "green", "blue"]),
+        ]
+    )
+    return Dataset(
+        schema,
+        {"x": x, "noise": noise, "load": load, "color": color},
+        group,
+        ["A", "B"],
+    )
+
+
+#: Datasets of ``golden_chunked.json`` with their search depths.
+CHUNKED_LOADERS = {
+    "mixed_gaps": (_mixed_with_gaps, 3),
+    "manufacturing": (
+        lambda: manufacturing(
+            n_noise_categorical=4, n_noise_continuous=2, missing_rate=0.05
+        ),
+        2,
+    ),
+}
+
+CHUNKED_CONFIGS = ("default", "no_pruning", "split_mean")
+
+
+@pytest.fixture(scope="module")
+def golden_chunked():
+    with CHUNKED_PATH.open() as handle:
+        return json.load(handle)
+
+
+@pytest.fixture(scope="module")
+def chunked_layouts(tmp_path_factory):
+    """Each dataset in memory and on 1-, 3- and 7-chunk views."""
+    layouts = {}
+    for name, (loader, _) in CHUNKED_LOADERS.items():
+        dataset = loader()
+        layouts[name] = {"in memory": dataset}
+        for n_chunks in (1, 3, 7):
+            store = ChunkedDataset.pack(
+                tmp_path_factory.mktemp(name) / "store",
+                dataset,
+                chunk_size=math.ceil(dataset.n_rows / n_chunks),
+            )
+            view = store.view()
+            assert view.n_chunks == n_chunks
+            layouts[name][f"{n_chunks} chunks"] = view
+    return layouts
+
+
+def _chunked_entry(dataset, name, config_name, backend, n_jobs=1) -> dict:
+    """What one mine is pinned by in ``golden_chunked.json``."""
+    config = ACCOUNTING_CONFIGS[config_name](
+        MinerConfig(
+            max_tree_depth=CHUNKED_LOADERS[name][1], counting_backend=backend
+        )
+    )
+    try:
+        result = ContrastSetMiner(config).mine(dataset, n_jobs=n_jobs)
+    except ValueError as exc:
+        # The mean of a sample holding +inf and -inf is NaN, which
+        # Interval refuses as a split point.
+        return {"error": str(exc)}
+    return _accounting_entry(result)
+
+
+@pytest.mark.parametrize("budget", ["default", "below_rows"])
+@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+@pytest.mark.parametrize("config_name", CHUNKED_CONFIGS)
+@pytest.mark.parametrize("name", sorted(CHUNKED_LOADERS))
+def test_chunked_grid_matches_golden(
+    golden_chunked, chunked_layouts, monkeypatch, name, config_name,
+    backend, budget,
+):
+    layouts = chunked_layouts[name]
+    if budget == "below_rows":
+        # Multi-chunk spaces above a quarter of the rows stream, with a
+        # pivot loop that narrows; every other split gathers without
+        # holding its chunk columns.
+        monkeypatch.setattr(
+            partition,
+            "MEDIAN_GATHER_BUDGET",
+            layouts["in memory"].n_rows // 4,
+        )
+        monkeypatch.setattr(partition, "_STREAM_GATHER_FALLBACK", 16)
+    expected = golden_chunked[name][config_name]
+    for layout, dataset in layouts.items():
+        assert _chunked_entry(dataset, name, config_name, backend) == (
+            expected
+        ), f"{name}/{config_name} drifted {layout}"
+
+
+@pytest.mark.parametrize("name", sorted(CHUNKED_LOADERS))
+def test_chunked_grid_parallel_matches_golden(
+    golden_chunked, chunked_layouts, name
+):
+    """The level-parallel scheduler reports the serial entries."""
+    for layout in ("in memory", "3 chunks"):
+        dataset = chunked_layouts[name][layout]
+        assert _chunked_entry(dataset, name, "default", "mask", n_jobs=2) == (
+            golden_chunked[name]["default"]
+        ), f"{name} drifted {layout}"
