@@ -1,8 +1,8 @@
 """Vectorized level-batch evaluation engine: end-to-end speed and parity.
 
-Times the depth-3 Adult mining run (bitmap backend) through the batch
-evaluator, the miners' one path from candidate to verdict.  Parity is
-asserted the strong way: each scale's pattern list must hash to the
+Times the depth-3 Adult mining run through the batch evaluator, the
+miners' one path from candidate to verdict.  Parity is asserted the
+strong way: each scale's pattern list must hash to the
 sha256 fingerprint committed in ``BENCH_batch.json`` when the
 per-candidate scalar driver still existed and produced the same bytes
 (``FINGERPRINTS`` below), so the timed computation is provably the one
@@ -33,7 +33,6 @@ from repro.core.serialize import patterns_to_dicts
 from repro.dataset import uci
 
 DEPTH = 3
-BACKEND = "bitmap"
 SCALES = (0.15, 1.0)
 REPEATS = 5
 
@@ -50,7 +49,7 @@ def _fingerprint(patterns) -> str:
 
 
 def _time_mine(dataset, repeats: int):
-    config = MinerConfig(max_tree_depth=DEPTH, counting_backend=BACKEND)
+    config = MinerConfig(max_tree_depth=DEPTH)
     result = ContrastSetMiner(config).mine(dataset)  # warm-up
     best = float("inf")
     for _ in range(repeats):
@@ -64,7 +63,6 @@ def run_bench(scales=SCALES, repeats=REPEATS) -> dict:
     results: dict[str, object] = {
         "dataset": "adult",
         "depth": DEPTH,
-        "backend": BACKEND,
         "repeats": repeats,
     }
     for scale in scales:

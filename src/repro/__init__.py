@@ -33,7 +33,7 @@ from .serve import (
     StoreError,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "MinerConfig",

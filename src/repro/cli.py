@@ -105,30 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="restrict the search to these attributes",
         )
         p.add_argument(
-            "--backend",
-            default="mask",
-            choices=("mask", "bitmap"),
-            help=(
-                "support-counting backend: 'mask' (boolean masks; "
-                "batches count each categorical combination from one "
-                "contingency table) or 'bitmap' (packed bit-vectors, "
-                "faster per candidate on categorical-heavy data)"
-            ),
-        )
-        p.add_argument(
-            "--cache-size",
-            type=int,
-            default=None,
-            dest="backend_cache_size",
-            metavar="N",
-            help=(
-                "capacity of the counting backend's memo cache "
-                "(bitmap context-coverage LRU, or the per-chunk counts "
-                "LRU when mining a chunked dataset); requires "
-                "--backend bitmap"
-            ),
-        )
-        p.add_argument(
             "--max-retries",
             type=int,
             default=2,
@@ -458,8 +434,6 @@ def _config(args) -> MinerConfig:
         k=args.k,
         max_tree_depth=args.depth,
         interest_measure=args.measure,
-        counting_backend=args.backend,
-        backend_cache_size=args.backend_cache_size,
         resilience=ResiliencePolicy(
             max_retries=args.max_retries,
             task_timeout_s=args.task_timeout,

@@ -64,21 +64,6 @@ class MinerConfig:
     """Where to split a continuous attribute inside the current region:
     ``"median"`` (the paper's choice) or ``"mean"`` (Section 4.1 mentions
     both; the ablation bench compares them)."""
-    counting_backend: str = "mask"
-    """Support-counting backend: ``"mask"`` (boolean masks, the reference
-    path; batches count each categorical combination from one
-    contingency table) or ``"bitmap"`` (packed bit-vectors + per-group
-    popcount with a context-coverage cache, faster per candidate on
-    categorical-heavy data).  Both give identical patterns.  See
-    :mod:`repro.counting`."""
-    backend_cache_size: int | None = None
-    """Capacity of the counting backend's memo cache: the bitmap
-    backend's context-coverage LRU, or — when mining a chunked dataset —
-    the chunk-aware backend's (chunk digest, itemset) counts LRU.
-    ``None`` keeps each backend's default.  The mask backend keeps no
-    cache, so setting this with ``counting_backend="mask"`` is a
-    configuration error (caches never change mined patterns, only
-    speed)."""
     merge: bool = True
     merge_alpha: float = 0.05
     min_expected_count: float = 5.0
@@ -114,18 +99,6 @@ class MinerConfig:
             raise ValueError("k must be >= 1")
         if self.split_statistic not in ("median", "mean"):
             raise ValueError("split_statistic must be 'median' or 'mean'")
-        if self.counting_backend not in ("mask", "bitmap"):
-            raise ValueError(
-                "counting_backend must be 'mask' or 'bitmap'"
-            )
-        if self.backend_cache_size is not None:
-            if self.backend_cache_size < 1:
-                raise ValueError("backend_cache_size must be >= 1")
-            if self.counting_backend == "mask":
-                raise ValueError(
-                    "backend_cache_size requires counting_backend="
-                    "'bitmap' (the mask backend keeps no cache)"
-                )
         if not isinstance(self.resilience, ResiliencePolicy):
             raise TypeError("resilience must be a ResiliencePolicy")
 

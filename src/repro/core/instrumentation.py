@@ -35,11 +35,11 @@ class MiningStats:
     counting_backend: str = "mask"
     """Name of the support-counting backend that produced the counts."""
     count_calls: int = 0
-    """Raw backend counting calls (itemset and mask group-counts alike)."""
+    """Raw backend counting calls (itemset and cover group-counts alike)."""
     cache_hits: int = 0
-    """Context-coverage cache hits (bitmap backend; 0 for mask)."""
+    """Per-chunk counts cache hits (chunked backend; 0 for mask)."""
     cache_misses: int = 0
-    """Context-coverage cache misses (bitmap backend; 0 for mask)."""
+    """Per-chunk counts cache misses (chunked backend; 0 for mask)."""
     batch_calls: int = 0
     """``group_counts_batch`` invocations on the counting backend."""
     batched_candidates: int = 0
@@ -129,7 +129,8 @@ class MiningStats:
         self.serial_fallbacks += other.serial_fallbacks
         self.tasks_failed += other.tasks_failed
         self.checkpoints_written += other.checkpoints_written
-        # Driver-level marker, not an additive event counter.
+        # Driver-level markers, not additive event counters.
+        self.counting_backend = other.counting_backend
         self.resumed_from_level = max(
             self.resumed_from_level, other.resumed_from_level
         )

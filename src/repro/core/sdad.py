@@ -89,9 +89,9 @@ class _SDADRun:
         self.known_pure = tuple(known_pure)
         if backend is None:
             # imported lazily to avoid a module cycle with repro.counting
-            from ..counting.mask import MaskBackend
+            from ..counting import backend_for
 
-            backend = MaskBackend(dataset)
+            backend = backend_for(dataset)
         self.backend = backend
         self.measure = measures.get(config.interest_measure)
         # Vectorized per-frame driver (DESIGN.md §12).  The outer search
@@ -504,7 +504,8 @@ def sdad_cs(
     backend:
         Optional :class:`repro.counting.CountingBackend` that performs all
         support counting (context coverage and per-space group counts);
-        defaults to a fresh mask backend.
+        defaults to a fresh one for the dataset's layout
+        (:func:`repro.counting.backend_for`).
     evaluator:
         Optional shared :class:`~repro.core.batch.BatchEvaluator` (built
         around the same pipeline and backend) so dataset-level caches

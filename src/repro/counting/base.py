@@ -1,19 +1,19 @@
 """The counting-backend protocol — the single documented counting ABC.
 
 Every miner in this package reduces to one operation: given an itemset (or
-an arbitrary boolean row mask), produce the per-group covered counts — the
+a packed row cover), produce the per-group covered counts — the
 contingency row of Eq. 1.  A :class:`CountingBackend` encapsulates *how*
 that row is computed, so the search layers (`core.search`, `core.sdad`,
-`parallel.scheduler`) stay agnostic of the representation:
+`parallel.scheduler`) stay agnostic of the representation.  There is one
+counter per data layout (:func:`repro.counting.backend_for`):
 
-* :class:`~repro.counting.mask.MaskBackend` — boolean masks over numpy
-  columns, the historical reference path, whose batches read purely
-  categorical candidates from one contingency table per attribute set;
-* :class:`~repro.counting.bitmap.BitmapBackend` — packed bit-vectors with
-  per-group popcounts (SciCSM-style, related work [29]) and an LRU cache
-  of categorical-context coverage vectors;
-* :class:`~repro.counting.chunked.ChunkedBackend` — per-chunk counts over
-  an out-of-core :class:`~repro.dataset.chunked.ChunkedView`, summed.
+* :class:`~repro.counting.mask.MaskBackend` — an in-memory
+  :class:`~repro.dataset.table.Dataset`: boolean masks over numpy
+  columns, batches of purely categorical candidates read from one
+  contingency table per attribute set, and covers counted on packed
+  words;
+* :class:`~repro.counting.chunked.ChunkedBackend` — an out-of-core
+  :class:`~repro.dataset.chunked.ChunkedView`: per-chunk counts, summed.
 
 The protocol has two counting granularities:
 
@@ -25,26 +25,22 @@ The protocol has two counting granularities:
 The search state itself (SDAD-CS spaces) speaks packed per-chunk
 :class:`~repro.core.cover.Cover` bitsets, so every backend also exposes
 ``chunk_sizes`` / ``cover_of`` / ``full_cover`` / ``cover_group_counts``;
-``cover_group_counts`` is the packed twin of ``mask_group_counts`` (same
-result, same single ``count_calls`` tally), and the chunked backend
-counts covers chunk by chunk without ever densifying a full-row mask.
+both backends count a cover with one packed AND + popcount per chunk
+(:meth:`Cover.group_counts`), never densifying a full-row mask.
 
 Every backend accepts batches: :class:`CountingBackendBase` provides a
-per-candidate fallback that stacks ``group_counts`` rows, and every
-shipped backend overrides it (mask: one ``bincount`` contingency table
-per categorical attribute set; bitmap: one packed-AND + popcount sweep;
-chunked: chunk-outer iteration with the digest-keyed cache intact).
-The class attribute :attr:`CountingBackendBase.supports_batch` advertises
-whether the override exists; callers never need to check it for
-correctness — only to predict performance.  Candidates counted one by
-one — through the fallback, or by an override for itemsets its fast path
-does not cover — are tallied in ``batch_fallbacks``.
+per-candidate fallback that stacks ``group_counts`` rows, and both
+backends override it (mask: one ``bincount`` contingency table per
+categorical attribute set; chunked: chunk-outer iteration with the
+digest-keyed cache intact).  Candidates counted one by one — through the
+fallback, or by an override for itemsets its fast path does not cover —
+are tallied in ``batch_fallbacks``.
 
 Backends also self-instrument: every counting call (a batch of N counts
 as N calls, so scalar and batch drivers report comparable totals), every
-context-cache hit/miss, and every batch invocation is tallied and
-published into :class:`~repro.core.instrumentation.MiningStats` so the
-ablation benches can attribute wall-clock wins.
+cache hit/miss, and every batch invocation is tallied and published into
+:class:`~repro.core.instrumentation.MiningStats` so the benches can
+attribute wall-clock wins.
 """
 
 from __future__ import annotations
@@ -55,6 +51,7 @@ from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkabl
 import numpy as np
 
 from ..core.cover import Cover
+from ..core.partition import dataset_chunk_sizes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.instrumentation import MiningStats
@@ -106,7 +103,6 @@ class CountingBackend(Protocol):
 
     name: str
     dataset: "Dataset"
-    supports_batch: bool
 
     def group_counts(self, itemset: "Itemset") -> np.ndarray:
         """Per-group covered counts of an itemset (Eq. 1 numerators)."""
@@ -123,10 +119,6 @@ class CountingBackend(Protocol):
 
     def cover(self, itemset: "Itemset") -> np.ndarray:
         """Boolean coverage mask of an itemset over the dataset rows."""
-        ...
-
-    def mask_group_counts(self, mask: np.ndarray) -> np.ndarray:
-        """Per-group counts inside an arbitrary boolean row mask."""
         ...
 
     @property
@@ -148,9 +140,9 @@ class CountingBackend(Protocol):
     def cover_group_counts(self, cover: Cover) -> np.ndarray:
         """Per-group counts inside a packed cover.
 
-        Equal to ``mask_group_counts(cover.to_dense())`` and tallied
-        identically (one ``count_calls``); backends count on packed
-        words directly where they can.
+        Equal to ``dataset.group_counts(cover.to_dense())`` and tallied
+        as one ``count_calls``; a cover that is not chunk-aligned with
+        the dataset raises :class:`~repro.dataset.table.DatasetError`.
         """
         ...
 
@@ -167,9 +159,6 @@ class CountingBackendBase:
     """Counter plumbing and the batch fallback shared by concrete backends."""
 
     name: str = "abstract"
-    supports_batch: bool = False
-    """True when ``group_counts_batch`` is a native stacked implementation
-    rather than the per-candidate fallback below."""
 
     def __init__(self, dataset: "Dataset") -> None:
         self.dataset = dataset
@@ -211,16 +200,9 @@ class CountingBackendBase:
 
     @property
     def chunk_sizes(self) -> tuple[int, ...]:
-        """Per-chunk row counts of the backing dataset.
-
-        Dense in-memory datasets are one chunk; chunk-aware backends
-        override (or inherit this duck-typed probe) to report the view's
-        chunk layout so covers stay segment-aligned with it.
-        """
-        metas = getattr(self.dataset, "chunk_metas", None)
-        if metas is None:
-            return (self.dataset.n_rows,)
-        return tuple(m.n_rows for m in metas())
+        """Per-chunk row counts of the backing dataset (``(n_rows,)``
+        when dense), so covers stay segment-aligned with it."""
+        return dataset_chunk_sizes(self.dataset)
 
     def cover_of(self, itemset: "Itemset") -> Cover:
         """Packed coverage of an itemset.
@@ -234,18 +216,6 @@ class CountingBackendBase:
     def full_cover(self) -> Cover:
         """Packed coverage of every row (the empty context)."""
         return Cover.full(self.chunk_sizes)
-
-    def cover_group_counts(self, cover: Cover) -> np.ndarray:
-        """Per-group counts inside a packed cover.
-
-        Reference fallback: densify and count with
-        :meth:`Dataset.group_counts` — the historical
-        ``mask_group_counts`` semantics, including its single
-        ``count_calls`` tally.  Packed backends override with AND +
-        popcount counting.
-        """
-        self.count_calls += 1
-        return self.dataset.group_counts(cover.to_dense())
 
     def counters(self) -> BackendCounters:
         return BackendCounters(

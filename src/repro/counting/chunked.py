@@ -11,18 +11,13 @@ makes out-of-core mining byte-identical to in-memory mining.
 :class:`ChunkedBackend` wraps a :class:`~repro.dataset.chunked.
 ChunkedView` and counts each itemset chunk by chunk:
 
-* per-chunk count vectors are cached in an LRU keyed by
+* per-chunk count vectors are cached in an LRU of
+  :data:`DEFAULT_COUNTS_CACHE` entries keyed by
   ``(chunk content digest, itemset)`` — the digest key means appending
   new chunks to the store never invalidates a single cached entry
   (old chunks are immutable and keep their digests);
-* with the ``bitmap`` inner strategy, each chunk gets a bits-only
-  packed index (per-(attribute, value) bit-vectors plus a group stack,
-  ~``n_rows / 8`` bytes per categorical value) built straight from the
-  chunk's memory-mapped code files — the chunk's column data is never
-  materialised at ``int64`` width for categorical counting;
-* itemsets containing numeric items, and the ``mask`` inner strategy,
-  count through transient per-chunk :class:`~repro.dataset.table.
-  Dataset` views (bounded by the store's chunk LRU).
+* itemsets count through transient per-chunk :class:`~repro.dataset.
+  table.Dataset` views (bounded by the store's chunk LRU).
 
 The SDAD-CS search state speaks packed per-chunk
 :class:`~repro.core.cover.Cover` bitsets (DESIGN.md §13): ``cover_of``
@@ -35,144 +30,61 @@ codes, which is what keeps mining peak RSS at O(chunk).
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..core.cover import Cover
-from ..core.items import CategoricalItem, Itemset
-from ..dataset.bitmap import popcount_rows
+from ..core.items import Itemset
 from ..dataset.chunked import GROUP_FILE, ChunkedView, ChunkMeta
 from ..dataset.table import DatasetError
 from .base import CountingBackendBase
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..dataset.chunked import ChunkedDataset
-
 __all__ = ["ChunkedBackend", "DEFAULT_COUNTS_CACHE"]
 
-#: Default number of (chunk digest, itemset) count vectors kept.  Each
-#: entry is one small int64 vector (|groups| elements), so even a large
-#: cache is a few MB — it is effectively bounded by candidate churn, not
-#: memory.
+#: Number of (chunk digest, itemset) count vectors kept.  Each entry is
+#: one small int64 vector (|groups| elements), so even a large cache is
+#: a few MB — it is effectively bounded by candidate churn, not memory.
 DEFAULT_COUNTS_CACHE = 65_536
 
 
-class _ChunkBits:
-    """Bits-only packed index of one chunk (no dataset reference).
-
-    Holds per-(attribute, value) coverage bit-vectors and the stacked
-    per-group membership bit-vectors, built directly from the chunk's
-    memory-mapped code files.  Dropping the dataset reference is the
-    point: keeping these resident for every chunk costs ~1 bit per row
-    per categorical value — the same budget as the in-memory
-    :class:`~repro.counting.bitmap.BitmapBackend`'s index — while the
-    chunk's 8-byte-wide columns stay on disk.
-    """
-
-    __slots__ = ("n_rows", "item_bits", "group_stack")
-
-    def __init__(self, store: "ChunkedDataset", meta: ChunkMeta) -> None:
-        self.n_rows = meta.n_rows
-        self.item_bits: dict[tuple[str, str], np.ndarray] = {}
-        for name in store.schema.categorical_names:
-            attr = store.schema[name]
-            raw = store._mmap_file(meta, name)
-            for code, label in enumerate(attr.categories):
-                self.item_bits[(name, label)] = np.packbits(raw == code)
-        codes = store._mmap_file(meta, GROUP_FILE)
-        self.group_stack = np.stack(
-            [
-                np.packbits(codes == g)
-                for g in range(len(store.group_labels))
-            ]
-        )
-
-    def counts(self, itemset: Itemset) -> np.ndarray:
-        bits = self.bits(itemset)
-        if bits is None:
-            return popcount_rows(self.group_stack)
-        return popcount_rows(self.group_stack & bits)
-
-    def bits(self, itemset: Itemset) -> np.ndarray | None:
-        """Packed coverage of a categorical itemset over this chunk
-        (``None`` for the empty itemset: every row)."""
-        bits = None
-        for item in itemset:
-            item_bits = self.item_bits[(item.attribute, item.value)]
-            bits = item_bits if bits is None else bits & item_bits
-        return bits
-
-
 class ChunkedBackend(CountingBackendBase):
-    """Count supports chunk-by-chunk over a :class:`ChunkedView`.
-
-    Parameters
-    ----------
-    view:
-        The lazy dataset facade to count over (``backend.dataset``).
-    inner:
-        Per-chunk counting strategy: ``"mask"`` (boolean masks over
-        transient chunk views) or ``"bitmap"`` (resident bits-only
-        chunk indexes for categorical itemsets).  Both are exact; they
-        trade memory for categorical-counting speed exactly like the
-        in-memory backends of the same names.
-    cache_size:
-        Capacity of the (chunk digest, itemset) counts LRU.
-    """
+    """Count supports chunk-by-chunk over a :class:`ChunkedView`
+    (``backend.dataset``)."""
 
     name = "chunked"
-    supports_batch = True
 
-    def __init__(
-        self,
-        view: ChunkedView,
-        inner: str = "mask",
-        cache_size: int | None = None,
-    ) -> None:
+    def __init__(self, view: ChunkedView) -> None:
         if not isinstance(view, ChunkedView):
             raise TypeError(
                 "ChunkedBackend counts over a ChunkedView "
                 "(use ChunkedDataset.view())"
             )
-        if inner not in ("mask", "bitmap"):
-            raise ValueError(
-                f"unknown inner counting strategy {inner!r}; "
-                "expected 'mask' or 'bitmap'"
-            )
-        if cache_size is not None and cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         super().__init__(view)
-        self.inner = inner
-        self.name = f"chunked+{inner}"
-        self.cache_size = cache_size or DEFAULT_COUNTS_CACHE
         self._counts_cache: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        self._chunk_bits: dict[str, _ChunkBits] = {}
         self._group_stacks: dict[str, np.ndarray] = {}
         self._chunk_sizes = tuple(
             meta.n_rows for meta in view.chunk_metas()
         )
 
-    # ------------------------------------------------------------------
-    # Per-chunk counting
-    # ------------------------------------------------------------------
-
-    def _bits_for(self, meta: ChunkMeta) -> _ChunkBits:
-        bits = self._chunk_bits.get(meta.digest)
-        if bits is None:
-            bits = _ChunkBits(self.dataset.chunk_store, meta)
-            self._chunk_bits[meta.digest] = bits
-        return bits
-
     def _chunk_counts(
-        self, meta: ChunkMeta, index: int, itemset: Itemset,
-        categorical_only: bool,
+        self, meta: ChunkMeta, index: int, itemset: Itemset
     ) -> np.ndarray:
-        if self.inner == "bitmap" and categorical_only:
-            return self._bits_for(meta).counts(itemset)
+        """Counts of one itemset in one chunk, through the counts LRU."""
+        key = (meta.digest, itemset)
+        cached = self._counts_cache.get(key)
+        if cached is not None:
+            self.cache_hits += 1
+            self._counts_cache.move_to_end(key)
+            return cached
+        self.cache_misses += 1
         chunk = self.dataset.chunk_store.chunk_dataset(index)
-        return chunk.group_counts(itemset.cover(chunk)).astype(np.int64)
+        counts = chunk.group_counts(itemset.cover(chunk)).astype(np.int64)
+        self._counts_cache[key] = counts
+        if len(self._counts_cache) > DEFAULT_COUNTS_CACHE:
+            self._counts_cache.popitem(last=False)
+        return counts
 
     # ------------------------------------------------------------------
     # CountingBackend interface
@@ -182,35 +94,18 @@ class ChunkedBackend(CountingBackendBase):
         self.count_calls += 1
         view: ChunkedView = self.dataset
         total = np.zeros(view.n_groups, dtype=np.int64)
-        categorical_only = all(
-            isinstance(item, CategoricalItem) for item in itemset
-        )
         for meta, index in zip(view.chunk_metas(), view.chunk_indices):
-            key = (meta.digest, itemset)
-            cached = self._counts_cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                self._counts_cache.move_to_end(key)
-                total += cached
-                continue
-            self.cache_misses += 1
-            counts = self._chunk_counts(meta, index, itemset,
-                                        categorical_only)
-            self._counts_cache[key] = counts
-            if len(self._counts_cache) > self.cache_size:
-                self._counts_cache.popitem(last=False)
-            total += counts
+            total += self._chunk_counts(meta, index, itemset)
         return total
 
     def group_counts_batch(self, itemsets) -> np.ndarray:
         """Batch counts with one pass over the chunks.
 
         Iterating chunk-outer / itemset-inner keeps each chunk's
-        memory-mapped columns (or bits-only index) hot while the whole
-        batch is counted against it, instead of touching every chunk once
-        per candidate.  The ``(chunk digest, itemset)`` LRU is shared with
-        the scalar path, so warm entries hit regardless of which path
-        filled them.
+        memory-mapped columns hot while the whole batch is counted
+        against it, instead of touching every chunk once per candidate.
+        The ``(chunk digest, itemset)`` LRU is shared with the scalar
+        path, so warm entries hit regardless of which path filled them.
         """
         items = list(itemsets)
         self.batch_calls += 1
@@ -218,28 +113,9 @@ class ChunkedBackend(CountingBackendBase):
         self.count_calls += len(items)
         view: ChunkedView = self.dataset
         out = np.zeros((len(items), view.n_groups), dtype=np.int64)
-        if not items:
-            return out
-        categorical_only = [
-            all(isinstance(item, CategoricalItem) for item in itemset)
-            for itemset in items
-        ]
         for meta, index in zip(view.chunk_metas(), view.chunk_indices):
             for i, itemset in enumerate(items):
-                key = (meta.digest, itemset)
-                cached = self._counts_cache.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    self._counts_cache.move_to_end(key)
-                    out[i] += cached
-                    continue
-                self.cache_misses += 1
-                counts = self._chunk_counts(meta, index, itemset,
-                                            categorical_only[i])
-                self._counts_cache[key] = counts
-                if len(self._counts_cache) > self.cache_size:
-                    self._counts_cache.popitem(last=False)
-                out[i] += counts
+                out[i] += self._chunk_counts(meta, index, itemset)
         return out
 
     def cover(self, itemset: Itemset) -> np.ndarray:
@@ -248,20 +124,6 @@ class ChunkedBackend(CountingBackendBase):
         if not parts:
             return np.zeros(0, dtype=bool)
         return np.concatenate(parts)
-
-    def mask_group_counts(self, mask: np.ndarray) -> np.ndarray:
-        self.count_calls += 1
-        mask = np.asarray(mask)
-        if mask.dtype != np.bool_ or mask.shape != (self.dataset.n_rows,):
-            raise DatasetError("mask must be a boolean array over rows")
-        # Legacy dense-mask entry point: count through the packed path
-        # so the view's group codes never need to materialise.
-        return Cover.from_dense(mask, self._chunk_sizes).group_counts(
-            [
-                self._group_stack_for(meta)
-                for meta in self.dataset.chunk_metas()
-            ]
-        )
 
     # ------------------------------------------------------------------
     # Packed-cover surface: chunk-native, never densifies a full mask
@@ -275,26 +137,19 @@ class ChunkedBackend(CountingBackendBase):
         """Packed per-group membership stack of one chunk.
 
         Keyed by the chunk's content digest (append-stable, like the
-        counts LRU); reuses the bits-only chunk index's stack when the
-        ``bitmap`` inner strategy already built one.  Residency cost is
-        ``n_groups * n_rows / 8`` bits across all chunks — the same
-        budget the in-memory bitmap backend pays once.
+        counts LRU).  Residency cost is ``n_groups * n_rows / 8`` bytes
+        across all chunks — the same budget the in-memory backend pays
+        for its one stack.
         """
         stack = self._group_stacks.get(meta.digest)
         if stack is None:
-            bits = self._chunk_bits.get(meta.digest)
-            if bits is not None:
-                stack = bits.group_stack
-            else:
-                codes = self.dataset.chunk_store._mmap_file(
-                    meta, GROUP_FILE
-                )
-                stack = np.stack(
-                    [
-                        np.packbits(codes == g)
-                        for g in range(self.dataset.n_groups)
-                    ]
-                )
+            codes = self.dataset.chunk_store._mmap_file(meta, GROUP_FILE)
+            stack = np.stack(
+                [
+                    np.packbits(codes == g)
+                    for g in range(self.dataset.n_groups)
+                ]
+            )
             self._group_stacks[meta.digest] = stack
         return stack
 
@@ -302,35 +157,21 @@ class ChunkedBackend(CountingBackendBase):
         """Lazy per-chunk packed coverage of an itemset.
 
         Each segment is a thunk: no chunk is read until the search
-        actually intersects or counts the cover.  With the ``bitmap``
-        inner strategy a categorical itemset's segment is an AND of
-        resident item bit-vectors; otherwise the chunk's coverage is
-        computed transiently and packed immediately — O(chunk) peak,
-        never a full-row mask.
+        actually intersects or counts the cover.  The chunk's coverage
+        is then computed transiently and packed immediately — O(chunk)
+        peak, never a full-row mask.
         """
         view: ChunkedView = self.dataset
         store = view.chunk_store
-        categorical_only = all(
-            isinstance(item, CategoricalItem) for item in itemset
+
+        def segment(index):
+            chunk = store.chunk_dataset(index)
+            return np.packbits(itemset.cover(chunk))
+
+        return Cover(
+            [functools.partial(segment, i) for i in view.chunk_indices],
+            self._chunk_sizes,
         )
-        segments = []
-        for meta, index in zip(view.chunk_metas(), view.chunk_indices):
-            if self.inner == "bitmap" and categorical_only:
-
-                def segment(meta=meta, n=meta.n_rows):
-                    bits = self._bits_for(meta).bits(itemset)
-                    if bits is None:
-                        return Cover.full((n,)).segment(0)
-                    return bits
-
-            else:
-
-                def segment(index=index):
-                    chunk = store.chunk_dataset(index)
-                    return np.packbits(itemset.cover(chunk))
-
-            segments.append(segment)
-        return Cover(segments, self._chunk_sizes)
 
     def full_cover(self) -> Cover:
         return Cover.full(self._chunk_sizes)
@@ -360,13 +201,7 @@ class ChunkedBackend(CountingBackendBase):
         """Introspection for tests and benches."""
         return {
             "entries": len(self._counts_cache),
-            "capacity": self.cache_size,
+            "capacity": DEFAULT_COUNTS_CACHE,
             "hits": self.cache_hits,
             "misses": self.cache_misses,
-            "chunk_indexes": len(self._chunk_bits),
-            "index_bytes": sum(
-                sum(b.nbytes for b in bits.item_bits.values())
-                + bits.group_stack.nbytes
-                for bits in self._chunk_bits.values()
-            ),
         }

@@ -14,6 +14,12 @@ builds that ``(card_1, ..., card_k, n_groups)`` table with a single
 ``bincount`` over a mixed-radix key of the code columns and the group
 codes, then reads every candidate's row from it by index: one pass over
 the rows per attribute set instead of one mask per candidate.
+
+Covers are counted on packed words: :meth:`MaskBackend.cover_group_counts`
+ANDs a packed cover with a one-chunk ``(n_groups, n_words)`` stack of the
+groups' row bits, built once from the group codes, and popcounts each row
+(:meth:`~repro.core.cover.Cover.group_counts`, the call the chunked
+backend makes for each chunk).
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from ..core.cover import Cover
 from ..core.items import CategoricalItem
+from ..dataset.chunked import ChunkedView
+from ..dataset.table import DatasetError
 from .base import CountingBackendBase
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -39,11 +48,20 @@ _MIN_TABLE_CELLS = 65_536
 
 
 class MaskBackend(CountingBackendBase):
-    """Count supports with fresh boolean masks per itemset, and batches
-    with one contingency table per categorical attribute set."""
+    """Count supports with fresh boolean masks per itemset, batches
+    with one contingency table per categorical attribute set, and covers
+    on packed words."""
 
     name = "mask"
-    supports_batch = True
+
+    def __init__(self, dataset) -> None:
+        if isinstance(dataset, ChunkedView):
+            raise TypeError(
+                "MaskBackend counts an in-memory Dataset "
+                "(use ChunkedBackend for a ChunkedView)"
+            )
+        super().__init__(dataset)
+        self._group_stack: np.ndarray | None = None
 
     def cover(self, itemset: "Itemset") -> np.ndarray:
         return itemset.cover(self.dataset)
@@ -120,6 +138,15 @@ class MaskBackend(CountingBackendBase):
             key += column
         return np.bincount(key, minlength=math.prod(shape)).reshape(shape)
 
-    def mask_group_counts(self, mask: np.ndarray) -> np.ndarray:
+    def cover_group_counts(self, cover: Cover) -> np.ndarray:
+        """Per-group counts of a packed cover: one AND + popcount against
+        the packed group stack, without unpacking the cover."""
         self.count_calls += 1
-        return self.dataset.group_counts(mask)
+        if cover.chunk_sizes != (self.dataset.n_rows,):
+            raise DatasetError("cover is not chunk-aligned with the dataset")
+        if self._group_stack is None:
+            codes = self.dataset.group_codes
+            self._group_stack = np.stack(
+                [np.packbits(codes == g) for g in range(self.dataset.n_groups)]
+            )
+        return cover.group_counts([self._group_stack])

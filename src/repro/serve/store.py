@@ -162,6 +162,8 @@ class StoredRun:
 
         payload = dict(self.config)
         payload.pop("batch_evaluation", None)  # retired in 1.6.0
+        payload.pop("counting_backend", None)  # retired in 1.7.0
+        payload.pop("backend_cache_size", None)  # retired in 1.7.0
         resilience = payload.pop("resilience", None)
         if resilience is not None:
             payload["resilience"] = ResiliencePolicy(**resilience)

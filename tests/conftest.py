@@ -104,3 +104,33 @@ def categorical_dataset(rng) -> Dataset:
         group,
         ["good", "bad"],
     )
+
+
+def _dense_cover_group_counts(backend, cover):
+    """The reference expression: count a cover as a dense boolean mask."""
+    backend.count_calls += 1
+    return backend.dataset.group_counts(cover.to_dense())
+
+
+@pytest.fixture
+def count_covers(monkeypatch):
+    """Choose how the counting backends count covers.
+
+    ``count_covers("bitmap")`` keeps the shipped count on packed words;
+    ``count_covers("mask")`` counts each cover as a dense mask with
+    ``dataset.group_counts(cover.to_dense())``, the reference the packed
+    count must equal.  Worker processes forked afterwards inherit the
+    choice.
+    """
+    from repro.counting.chunked import ChunkedBackend
+    from repro.counting.mask import MaskBackend
+
+    def count(way: str) -> None:
+        assert way in ("mask", "bitmap"), way
+        if way == "mask":
+            for cls in (MaskBackend, ChunkedBackend):
+                monkeypatch.setattr(
+                    cls, "cover_group_counts", _dense_cover_group_counts
+                )
+
+    return count

@@ -63,7 +63,7 @@ from repro.core.stats import (
     min_expected_count,
     min_expected_count_batch,
 )
-from repro.counting import make_backend
+from repro.counting import MaskBackend
 
 
 # ----------------------------------------------------------------------
@@ -142,10 +142,10 @@ def dataset_and_itemsets(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(data=dataset_and_itemsets(), backend_name=st.sampled_from(["mask", "bitmap"]))
-def test_group_counts_batch_matches_stacked_scalar(data, backend_name):
+@given(data=dataset_and_itemsets())
+def test_group_counts_batch_matches_stacked_scalar(data):
     dataset, itemsets = data
-    backend = make_backend(backend_name, dataset)
+    backend = MaskBackend(dataset)
     before = backend.counters()
     batch = backend.group_counts_batch(itemsets)
     grown = backend.counters() - before
@@ -195,7 +195,7 @@ def test_mask_batch_bounds_table_cells():
     )
     single = Itemset([CategoricalItem("a", labels[0])])
     itemsets = [*wide, pair, single]
-    backend = make_backend("mask", dataset)
+    backend = MaskBackend(dataset)
     batch = backend.group_counts_batch(itemsets)
     assert backend.batch_fallbacks == len(wide) + 1
     assert backend.count_calls == len(itemsets)
@@ -211,7 +211,7 @@ def test_group_counts_batch_matches_scalar_chunked(tmp_path, mixed_dataset):
     store = ChunkedDataset.pack(
         tmp_path / "store", mixed_dataset, chunk_size=97
     )
-    backend = ChunkedBackend(store.view(), inner="mask")
+    backend = ChunkedBackend(store.view())
     itemsets = [
         Itemset(),
         Itemset([CategoricalItem("color", "red")]),
@@ -228,9 +228,14 @@ def test_group_counts_batch_matches_scalar_chunked(tmp_path, mixed_dataset):
         assert np.array_equal(batch[i], backend.group_counts(itemset))
 
 
-def test_group_counts_batch_empty_input(mixed_dataset):
-    for name in ("mask", "bitmap"):
-        backend = make_backend(name, mixed_dataset)
+def test_group_counts_batch_empty_input(tmp_path, mixed_dataset):
+    from repro.counting.chunked import ChunkedBackend
+    from repro.dataset.chunked import ChunkedDataset
+
+    store = ChunkedDataset.pack(
+        tmp_path / "store", mixed_dataset, chunk_size=97
+    )
+    for backend in (MaskBackend(mixed_dataset), ChunkedBackend(store.view())):
         out = backend.group_counts_batch([])
         assert out.shape == (0, mixed_dataset.n_groups)
         assert out.dtype == np.int64

@@ -1,10 +1,11 @@
 """Out-of-core mining: parity, payload-size, streaming and CLI contracts.
 
 The acceptance bar for the chunked layer is *byte-identical* results:
-mining a :class:`ChunkedDataset` (any chunk size, both backends,
-serial or parallel) must reproduce the golden patterns AND the same
-prune accounting as mining the equivalent in-memory dataset — support
-counting is additive across row chunks, so nothing may drift.
+mining a :class:`ChunkedDataset` (any chunk size, covers counted on
+packed words or as dense masks, serial or parallel) must reproduce the
+golden patterns AND the same prune accounting as mining the equivalent
+in-memory dataset — support counting is additive across row chunks, so
+nothing may drift.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 from repro import ChunkedDataset, ContrastSetMiner, MinerConfig
 from repro.cli import main
 from repro.core.serialize import patterns_to_dicts
-from repro.counting import backend_from_config
+from repro.counting import backend_for
 from repro.counting.chunked import ChunkedBackend
 from repro.dataset import synthetic, uci
 from repro.dataset.io import write_csv
@@ -60,23 +61,29 @@ def _pack(tmp_path, name):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+@pytest.mark.parametrize("covers", ["mask", "bitmap"])
 @pytest.mark.parametrize("name", sorted(LOADERS))
-def test_chunked_patterns_match_golden(golden, tmp_path, name, backend):
+def test_chunked_patterns_match_golden(
+    golden, tmp_path, count_covers, name, covers
+):
+    count_covers(covers)
     store = _pack(tmp_path, name)
-    config = MinerConfig(max_tree_depth=2, counting_backend=backend)
+    config = MinerConfig(max_tree_depth=2)
     result = ContrastSetMiner(config).mine(store)
     assert patterns_to_dicts(result.patterns) == golden[name], (
         f"chunked mining drifted from golden output on {name} "
-        f"(backend={backend})"
+        f"(covers={covers})"
     )
 
 
-@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+@pytest.mark.parametrize("covers", ["mask", "bitmap"])
 @pytest.mark.parametrize("name", ["simulated_dataset_2", "adult"])
-def test_chunked_parallel_matches_golden(golden, tmp_path, name, backend):
+def test_chunked_parallel_matches_golden(
+    golden, tmp_path, count_covers, name, covers
+):
+    count_covers(covers)
     store = _pack(tmp_path, name)
-    config = MinerConfig(max_tree_depth=2, counting_backend=backend)
+    config = MinerConfig(max_tree_depth=2)
     result = ContrastSetMiner(config).mine(store, n_jobs=2)
     assert patterns_to_dicts(result.patterns) == golden[name]
 
@@ -130,33 +137,19 @@ def test_mining_a_view_after_append_uses_its_snapshot(tmp_path):
 
 
 def test_backend_from_config_dispatch(tmp_path, mixed_dataset):
+    """The dataset's type picks the counter: no config is consulted."""
     store = ChunkedDataset.pack(tmp_path / "s", mixed_dataset,
                                 chunk_size=200)
-    view = store.view()
-    backend = backend_from_config(MinerConfig(), view)
+    backend = backend_for(store.view())
     assert isinstance(backend, ChunkedBackend)
-    assert backend.name == "chunked+mask"
-    assert backend_from_config(
-        MinerConfig(counting_backend="bitmap"), view
-    ).name == "chunked+bitmap"
-    # dense datasets keep their ordinary backends
-    assert backend_from_config(MinerConfig(), mixed_dataset).name == "mask"
-
-
-def test_backend_cache_size_flows_to_backends(tmp_path, mixed_dataset):
-    config = MinerConfig(counting_backend="bitmap", backend_cache_size=17)
-    dense = backend_from_config(config, mixed_dataset)
-    assert dense.cache_size == 17
-    store = ChunkedDataset.pack(tmp_path / "s", mixed_dataset,
-                                chunk_size=200)
-    chunked = backend_from_config(config, store.view())
-    assert chunked.cache_size == 17
+    assert backend.name == "chunked"
+    assert backend_for(mixed_dataset).name == "mask"
 
 
 def test_backend_cache_size_validation():
-    with pytest.raises(ValueError, match="backend_cache_size"):
-        MinerConfig(backend_cache_size=0, counting_backend="bitmap")
-    with pytest.raises(ValueError, match="mask backend keeps no cache"):
+    """The counts LRU is sized by ``DEFAULT_COUNTS_CACHE``; the config
+    has no knob for it."""
+    with pytest.raises(TypeError, match="backend_cache_size"):
         MinerConfig(backend_cache_size=8)
 
 
@@ -183,26 +176,27 @@ def test_counts_cache_is_digest_keyed(tmp_path, categorical_dataset):
 
 
 def test_chunked_backend_counts_match_dense(tmp_path, categorical_dataset):
+    from repro.core.cover import Cover
     from repro.core.items import CategoricalItem, Itemset
-    from repro.counting import make_backend
 
     store = ChunkedDataset.pack(tmp_path / "s", categorical_dataset,
                                 chunk_size=137)
-    dense = make_backend("mask", categorical_dataset)
-    for inner in ("mask", "bitmap"):
-        backend = ChunkedBackend(store.view(), inner=inner)
-        for tool in ("T1", "T2"):
-            itemset = Itemset([CategoricalItem("tool", tool)])
-            assert np.array_equal(
-                backend.group_counts(itemset), dense.group_counts(itemset)
-            )
-            assert np.array_equal(
-                backend.cover(itemset), dense.cover(itemset)
-            )
-        mask = np.asarray(categorical_dataset.group_codes) == 0
+    backend = ChunkedBackend(store.view())
+    for tool in ("T1", "T2"):
+        itemset = Itemset([CategoricalItem("tool", tool)])
+        mask = itemset.cover(categorical_dataset)
         assert np.array_equal(
-            backend.mask_group_counts(mask), dense.mask_group_counts(mask)
+            backend.group_counts(itemset),
+            categorical_dataset.group_counts(mask),
         )
+        assert np.array_equal(backend.cover(itemset), mask)
+    mask = np.asarray(categorical_dataset.group_codes) == 0
+    assert np.array_equal(
+        backend.cover_group_counts(
+            Cover.from_dense(mask, backend.chunk_sizes)
+        ),
+        categorical_dataset.group_counts(mask),
+    )
 
 
 def test_chunked_backend_rejects_dense_dataset(mixed_dataset):
@@ -346,7 +340,7 @@ class TestDatasetCli:
         assert "600 rows in 4 chunks" in out
         assert "all digests match" in out
         assert main(["mine", store, "--depth", "2", "--top", "3"]) == 0
-        assert "chunked+mask backend" in capsys.readouterr().out
+        assert "[chunked backend" in capsys.readouterr().out
 
     def test_verify_clean_store(self, tmp_path, csv_path, capsys):
         store = str(tmp_path / "store")
@@ -424,17 +418,16 @@ class TestDatasetCli:
         assert "groups rows by" in capsys.readouterr().err
 
     def test_cache_size_flag_validation(self, csv_path, capsys):
-        assert main(["mine", csv_path, "--group", "group",
-                     "--cache-size", "64"]) == 2
-        assert "bitmap" in capsys.readouterr().err
-        assert main(["mine", csv_path, "--group", "group",
-                     "--backend", "bitmap", "--cache-size", "0"]) == 2
-        assert "must be >= 1" in capsys.readouterr().err
-
-    def test_cache_size_flag_accepted(self, csv_path, capsys):
-        assert main(["mine", csv_path, "--group", "group",
-                     "--backend", "bitmap", "--cache-size", "128",
-                     "--depth", "1"]) == 0
+        """``mine`` lost ``--backend`` and ``--cache-size``: each is a
+        usage error (exit 2), never a traceback."""
+        for flag, value in (("--backend", "bitmap"), ("--cache-size", "64")):
+            with pytest.raises(SystemExit) as exc:
+                main(["mine", csv_path, "--group", "group", flag, value])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err
+            assert f"unrecognized arguments: {flag} {value}" in err
+            assert "Traceback" not in err
 
     def test_info_on_store_dir(self, tmp_path, csv_path, capsys):
         store = str(tmp_path / "store")

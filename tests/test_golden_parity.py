@@ -5,9 +5,11 @@ patterns and prune accounting.
 captured from the pre-pipeline serial miner (mask backend, depth 2) on
 the paper's simulated datasets 1-4 and the Adult stand-in.  The shared
 PruningPipeline must reproduce them exactly — same itemsets, same
-counts, same order — for every combination of counting backend and
-worker count.  Any drift between paths (the old parallel categorical
-branch disagreed with serial on Adult) fails here.
+counts, same order — for every worker count, with covers counted on
+packed words (``bitmap``, the shipped path) and as dense masks through
+the reference expression (``mask``, see the ``count_covers`` fixture).
+Any drift between paths (the old parallel categorical branch disagreed
+with serial on Adult) fails here.
 
 ``tests/data/golden_accounting.json`` freezes what each run *did*, not
 just what it found: for the five golden datasets at depth 2 and the
@@ -93,7 +95,7 @@ LOADERS = {
 ACCOUNTING_DEPTHS = {**{name: 2 for name in LOADERS}, "mixed": 3}
 
 #: Configuration changes per accounting entry, applied on top of
-#: ``MinerConfig(max_tree_depth=depth, counting_backend=backend)``.
+#: ``MinerConfig(max_tree_depth=depth)``.
 ACCOUNTING_CONFIGS = {
     "default": lambda config: config,
     "no_pruning": lambda config: config.no_pruning(),
@@ -109,7 +111,7 @@ ACCOUNTING_CONFIGS = {
 
 #: The frozen ``MiningStats`` counters (timings and backend cache
 #: counters are left out: they legitimately differ between runs and
-#: backends).
+#: data layouts).
 ACCOUNTING_COUNTERS = (
     "prune_rule_checks",
     "prune_rule_hits",
@@ -126,10 +128,8 @@ ACCOUNTING_COUNTERS = (
 )
 
 
-def _accounting_config(name: str, config_name: str, backend: str):
-    base = MinerConfig(
-        max_tree_depth=ACCOUNTING_DEPTHS[name], counting_backend=backend
-    )
+def _accounting_config(name: str, config_name: str):
+    base = MinerConfig(max_tree_depth=ACCOUNTING_DEPTHS[name])
     return ACCOUNTING_CONFIGS[config_name](base)
 
 
@@ -164,27 +164,29 @@ def _accounting_dataset(name, request):
     return LOADERS[name]()
 
 
-@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+@pytest.mark.parametrize("covers", ["mask", "bitmap"])
 @pytest.mark.parametrize("n_jobs", [1, 2])
 @pytest.mark.parametrize("name", sorted(LOADERS))
-def test_patterns_match_golden(golden, name, backend, n_jobs):
+def test_patterns_match_golden(golden, count_covers, name, covers, n_jobs):
+    count_covers(covers)
     dataset = LOADERS[name]()
-    config = MinerConfig(max_tree_depth=2, counting_backend=backend)
+    config = MinerConfig(max_tree_depth=2)
     result = ContrastSetMiner(config).mine(dataset, n_jobs=n_jobs)
     assert patterns_to_dicts(result.patterns) == golden[name], (
         f"{name} drifted from golden output "
-        f"(backend={backend}, n_jobs={n_jobs})"
+        f"(covers={covers}, n_jobs={n_jobs})"
     )
 
 
-@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+@pytest.mark.parametrize("covers", ["mask", "bitmap"])
 @pytest.mark.parametrize("config_name", sorted(ACCOUNTING_CONFIGS))
 @pytest.mark.parametrize("name", sorted(ACCOUNTING_DEPTHS))
 def test_accounting_matches_golden(
-    golden_accounting, request, name, config_name, backend
+    golden_accounting, request, count_covers, name, config_name, covers
 ):
+    count_covers(covers)
     dataset = _accounting_dataset(name, request)
-    config = _accounting_config(name, config_name, backend)
+    config = _accounting_config(name, config_name)
     result = ContrastSetMiner(config).mine(dataset)
     assert _accounting_entry(result) == golden_accounting[name][config_name]
 
@@ -195,7 +197,7 @@ def test_parallel_accounting_matches_golden(
 ):
     """The level-parallel scheduler reports the serial counters."""
     dataset = _accounting_dataset(name, request)
-    config = _accounting_config(name, "default", "mask")
+    config = _accounting_config(name, "default")
     result = ContrastSetMiner(config).mine(dataset, n_jobs=2)
     assert _accounting_entry(result) == golden_accounting[name]["default"]
 
@@ -261,12 +263,10 @@ def golden_categorical():
         return json.load(handle)
 
 
-def _mine_categorical(name, config_name, backend, n_jobs):
+def _mine_categorical(name, config_name, n_jobs):
     """One frozen categorical-only mine of ``golden_categorical.json``."""
     dataset = CATEGORICAL_LOADERS[name]()
-    config = ACCOUNTING_CONFIGS[config_name](
-        MinerConfig(max_tree_depth=3, counting_backend=backend)
-    )
+    config = ACCOUNTING_CONFIGS[config_name](MinerConfig(max_tree_depth=3))
     attributes = [a.name for a in dataset.schema if a.is_categorical]
     return ContrastSetMiner(config).mine(
         dataset, attributes=attributes, n_jobs=n_jobs
@@ -274,14 +274,15 @@ def _mine_categorical(name, config_name, backend, n_jobs):
 
 
 @pytest.mark.parametrize(
-    "backend,n_jobs", [("mask", 1), ("bitmap", 1), ("mask", 2)]
+    "covers,n_jobs", [("mask", 1), ("bitmap", 1), ("mask", 2)]
 )
 @pytest.mark.parametrize("config_name", ["default", "no_pruning"])
 @pytest.mark.parametrize("name", sorted(CATEGORICAL_LOADERS))
 def test_categorical_depth3_matches_golden(
-    golden_categorical, name, config_name, backend, n_jobs
+    golden_categorical, count_covers, name, config_name, covers, n_jobs
 ):
-    result = _mine_categorical(name, config_name, backend, n_jobs)
+    count_covers(covers)
+    result = _mine_categorical(name, config_name, n_jobs)
     expected = golden_categorical["miner"][name][config_name]
     assert _accounting_entry(result) == expected
 
@@ -367,12 +368,10 @@ def chunked_layouts(tmp_path_factory):
     return layouts
 
 
-def _chunked_entry(dataset, name, config_name, backend, n_jobs=1) -> dict:
+def _chunked_entry(dataset, name, config_name, n_jobs=1) -> dict:
     """What one mine is pinned by in ``golden_chunked.json``."""
     config = ACCOUNTING_CONFIGS[config_name](
-        MinerConfig(
-            max_tree_depth=CHUNKED_LOADERS[name][1], counting_backend=backend
-        )
+        MinerConfig(max_tree_depth=CHUNKED_LOADERS[name][1])
     )
     try:
         result = ContrastSetMiner(config).mine(dataset, n_jobs=n_jobs)
@@ -384,13 +383,14 @@ def _chunked_entry(dataset, name, config_name, backend, n_jobs=1) -> dict:
 
 
 @pytest.mark.parametrize("budget", ["default", "below_rows"])
-@pytest.mark.parametrize("backend", ["mask", "bitmap"])
+@pytest.mark.parametrize("covers", ["mask", "bitmap"])
 @pytest.mark.parametrize("config_name", CHUNKED_CONFIGS)
 @pytest.mark.parametrize("name", sorted(CHUNKED_LOADERS))
 def test_chunked_grid_matches_golden(
-    golden_chunked, chunked_layouts, monkeypatch, name, config_name,
-    backend, budget,
+    golden_chunked, chunked_layouts, monkeypatch, count_covers, name,
+    config_name, covers, budget,
 ):
+    count_covers(covers)
     layouts = chunked_layouts[name]
     if budget == "below_rows":
         # Multi-chunk spaces above a quarter of the rows stream, with a
@@ -404,7 +404,7 @@ def test_chunked_grid_matches_golden(
         monkeypatch.setattr(partition, "_STREAM_GATHER_FALLBACK", 16)
     expected = golden_chunked[name][config_name]
     for layout, dataset in layouts.items():
-        assert _chunked_entry(dataset, name, config_name, backend) == (
+        assert _chunked_entry(dataset, name, config_name) == (
             expected
         ), f"{name}/{config_name} drifted {layout}"
 
@@ -416,6 +416,6 @@ def test_chunked_grid_parallel_matches_golden(
     """The level-parallel scheduler reports the serial entries."""
     for layout in ("in memory", "3 chunks"):
         dataset = chunked_layouts[name][layout]
-        assert _chunked_entry(dataset, name, "default", "mask", n_jobs=2) == (
+        assert _chunked_entry(dataset, name, "default", n_jobs=2) == (
             golden_chunked[name]["default"]
         ), f"{name} drifted {layout}"

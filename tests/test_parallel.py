@@ -50,18 +50,18 @@ class TestUnifiedMine:
         assert result.stats.elapsed_seconds > 0
         assert result.stats.count_calls > 0
 
-    def test_bitmap_backend_through_workers(self, small_trace):
-        config = MinerConfig(
-            k=10, max_tree_depth=2, counting_backend="bitmap"
-        )
-        mask = ContrastSetMiner(
-            config.with_(counting_backend="mask")
-        ).mine(small_trace, n_jobs=2)
+    def test_bitmap_backend_through_workers(self, small_trace, count_covers):
+        """Workers count covers on packed words, as the dense masks of
+        the reference expression count them."""
+        config = MinerConfig(k=10, max_tree_depth=2)
         bitmap = ContrastSetMiner(config).mine(small_trace, n_jobs=2)
+        count_covers("mask")
+        mask = ContrastSetMiner(config).mine(small_trace, n_jobs=2)
         assert [(p.itemset, p.counts) for p in mask.patterns] == [
             (p.itemset, p.counts) for p in bitmap.patterns
         ]
-        assert bitmap.stats.counting_backend == "bitmap"
+        assert bitmap.stats.sdad_calls > 0
+        assert bitmap.stats.counting_backend == "mask"
 
     def test_attribute_restriction(self, small_trace):
         names = small_trace.schema.names[:4]

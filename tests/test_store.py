@@ -289,14 +289,18 @@ class TestKillDurability:
 
 
 class TestRetiredKeys:
-    """Runs stored by v1.5.0 carry two keys that 1.6.0 retired: the
-    config's ``batch_evaluation`` and the summary's
-    ``prune_rule_batched``.  They must load and serve, not quarantine."""
+    """Runs stored by older releases carry keys that later ones retired:
+    the config's ``batch_evaluation`` and the summary's
+    ``prune_rule_batched`` (1.6.0), and the config's ``counting_backend``
+    and ``backend_cache_size`` (1.7.0).  They must load and serve, not
+    quarantine."""
 
     def _write_as_v150(self, store, run_id):
         meta = store.root / "runs" / run_id / "meta.json"
         payload = json.loads(meta.read_text())
         payload["config"]["batch_evaluation"] = True
+        payload["config"]["counting_backend"] = "bitmap"
+        payload["config"]["backend_cache_size"] = 4096
         payload["summary"]["prune_rule_batched"] = dict(
             payload["summary"]["prune_rule_checks"]
         )
