@@ -429,6 +429,25 @@ class TestDatasetCli:
             assert f"unrecognized arguments: {flag} {value}" in err
             assert "Traceback" not in err
 
+    def test_cache_size_flag_accepted(self, tmp_path, csv_path, capsys,
+                                      monkeypatch):
+        """The counts LRU that ``mine --cache-size`` once sized takes
+        ``DEFAULT_COUNTS_CACHE``: a one-entry LRU mines the same
+        patterns as the default one, with no flag to pass."""
+        from repro.counting import chunked as chunked_counting
+
+        store = str(tmp_path / "store")
+        main(["dataset", "pack", csv_path, "--group", "group",
+              "--store", store, "--chunk-size", "150"])
+        capsys.readouterr()
+        argv = ["mine", store, "--depth", "1", "--all", "--json"]
+        assert main(argv) == 0
+        default = json.loads(capsys.readouterr().out)
+        assert default
+        monkeypatch.setattr(chunked_counting, "DEFAULT_COUNTS_CACHE", 1)
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == default
+
     def test_info_on_store_dir(self, tmp_path, csv_path, capsys):
         store = str(tmp_path / "store")
         main(["dataset", "pack", csv_path, "--group", "group",
