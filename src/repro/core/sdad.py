@@ -141,21 +141,34 @@ class _SDADRun:
             hypervolume=space.hypervolume,
         )
 
-    def _split_space(self, space: Space) -> list[Space]:
-        """``partition`` + ``find_combs`` (Algorithm 1 lines 4-5)."""
-        splits = {}
+    def _split_spaces(self, spaces: Sequence[Space]) -> list[list[Space]]:
+        """``partition`` + ``find_combs`` (Algorithm 1 lines 4-5) for each
+        space, returning each space's children in ``spaces`` order.
+
+        The splits sweep attribute by attribute over all the spaces, so
+        a chunked view reads each attribute into its resident-column
+        cache once per sweep, not once per space (DESIGN.md §13).  The
+        order of the splits changes no child: ``find_combinations``
+        orders the halves by ``space.attributes``, and it still runs
+        once per space, in ``spaces`` order.
+        """
+        splits: list[dict] = [{} for _ in spaces]
         for name in self.continuous:
-            halves = partition_median(
-                self.dataset,
-                space,
-                name,
-                self.config.split_statistic,
-            )
-            if halves is not None:
-                splits[name] = halves
-        if not splits:
-            return []
-        return find_combinations(self.dataset, space, splits, self.backend)
+            for space, found in zip(spaces, splits):
+                halves = partition_median(
+                    self.dataset,
+                    space,
+                    name,
+                    self.config.split_statistic,
+                )
+                if halves is not None:
+                    found[name] = halves
+        return [
+            find_combinations(self.dataset, space, found, self.backend)
+            if found
+            else []
+            for space, found in zip(spaces, splits)
+        ]
 
     # -- the recursion ----------------------------------------------------
 
@@ -231,7 +244,7 @@ class _SDADRun:
         if prefetched is not None:
             spaces, verdicts = prefetched
         else:
-            spaces = self._split_space(region)
+            spaces = self._split_spaces([region])[0]
             verdicts = None
         if not spaces:
             return []
@@ -297,9 +310,7 @@ class _SDADRun:
         if level < self.config.max_split_depth:
             recursing = [plan[0] for plan in plans if plan[4]]
             if len(recursing) > 1:
-                child_lists = [
-                    self._split_space(space) for space in recursing
-                ]
+                child_lists = self._split_spaces(recursing)
                 frames = [
                     (children, space)
                     for space, children in zip(recursing, child_lists)

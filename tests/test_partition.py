@@ -1,8 +1,11 @@
 """Tests for repro.core.partition (spaces, median splits, merging)."""
 
 import math
+import re
 import struct
 import weakref
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -311,10 +314,22 @@ def test_median_split_partition_property(values):
 
 
 class _FakeChunkedColumn:
-    """Minimal chunked-dataset duck type for the streaming selector."""
+    """Minimal chunked-dataset duck type for the split: a chunk layout,
+    the whole column, and per-chunk reads, so the chunking holds whether
+    the split reads through ``column`` or ``iter_chunk_columns``."""
 
     def __init__(self, chunks):
         self._chunks = [np.asarray(c, dtype=np.float64) for c in chunks]
+        self.n_rows = sum(chunk.size for chunk in self._chunks)
+
+    def chunk_metas(self):
+        return tuple(
+            SimpleNamespace(n_rows=chunk.size) for chunk in self._chunks
+        )
+
+    def column(self, name):
+        assert name == "x"
+        return np.concatenate(self._chunks)
 
     def iter_chunk_columns(self, name):
         assert name == "x"
@@ -413,11 +428,7 @@ class TestStreamingMedian:
         chunks = [rng.normal(size=20) for _ in range(4)]
         values = np.concatenate(chunks)
         sizes = (20, 20, 20, 20)
-
-        class _FakeDataset(_FakeChunkedColumn):
-            n_rows = 80
-
-        fake = _FakeDataset(chunks)
+        fake = _FakeChunkedColumn(chunks)
         cover = Cover.full(sizes)
         ranges = {"x": AttributeRange("x", float(values.min()),
                                       float(values.max()))}
@@ -456,9 +467,11 @@ class _ReadTrackingColumn(_FakeChunkedColumn):
 
 @pytest.mark.parametrize("n_chunks", [1, 3])
 def test_split_below_gather_budget_holds_no_columns(monkeypatch, n_chunks):
-    """With the gather budget below the row count, the split drops each
-    chunk column once the gather has read it and reads the column again
-    for the halves, whose covers are those of a split that holds them."""
+    """At the default budget the split reads its column only through
+    ``column()``, never chunk by chunk.  With the budget below the row
+    count, the split drops each chunk column once the gather has read
+    it and reads the column again for the halves, and the halves are
+    byte for byte those of the resident read."""
     from repro.core import partition as part
 
     rng = np.random.default_rng(3)
@@ -474,9 +487,10 @@ def test_split_below_gather_budget_holds_no_columns(monkeypatch, n_chunks):
         np.array([cover.count()], dtype=np.int64),
         {},
     )
-    holding = _ReadTrackingColumn(chunks)
-    expected = partition_median(holding, space, "x")
-    assert len(holding.alive_at_pass_start) == 1
+    resident = _ReadTrackingColumn(chunks)
+    expected = partition_median(resident, space, "x")
+    assert resident.alive_at_pass_start == []
+    assert resident.reads == []
 
     monkeypatch.setattr(part, "MEDIAN_GATHER_BUDGET", 59)
     assert space.total_count <= part.MEDIAN_GATHER_BUDGET < cover.n_rows
@@ -489,6 +503,48 @@ def test_split_below_gather_budget_holds_no_columns(monkeypatch, n_chunks):
         assert [s.tobytes() for s in half.segments] == [
             s.tobytes() for s in reference.segments
         ]
+
+
+@pytest.mark.parametrize("resident", [True, False])
+def test_chunked_view_splits_map_each_chunk_once(
+    tmp_path, monkeypatch, resident
+):
+    """Below the budget, a split of a 3-chunk view reads its column
+    through the view's resident-column cache: the range, a split and a
+    split of one of its halves map each chunk file of the attribute
+    once.  With the budget below the row count (but not below the
+    covered rows, so the splits still gather) nothing stays resident,
+    and every pass maps every chunk again."""
+    from repro.core import partition as part
+    from repro.dataset.chunked import ChunkedDataset
+
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=90)
+    x[[5, 40, 41]] = np.nan
+    dense = _dataset(x=x, groups=rng.integers(0, 2, 90))
+    view = ChunkedDataset.pack(tmp_path / "s", dense, chunk_size=30).view()
+    if not resident:
+        monkeypatch.setattr(part, "MEDIAN_GATHER_BUDGET", view.n_rows - 1)
+    maps: Counter = Counter()
+    real = ChunkedDataset._mmap_file
+
+    def counting(store, meta, name):
+        maps[meta.chunk_id, name] += 1
+        return real(store, meta, name)
+
+    monkeypatch.setattr(ChunkedDataset, "_mmap_file", counting)
+    context = np.ones(view.n_rows, dtype=bool)
+    context[0] = False
+    root = full_space(view, ("x",), context)
+    assert root.total_count <= part.MEDIAN_GATHER_BUDGET
+    children = find_combinations(
+        view, root, {"x": partition_median(view, root, "x")}
+    )
+    assert partition_median(view, children[0], "x") is not None
+    passes = 1 if resident else 5  # the range, then two per split
+    x_maps = [n for (_, name), n in maps.items() if name == "x"]
+    assert x_maps == [passes] * 3
+    assert view.resident_columns() == (("x",) if resident else ())
 
 
 _EDGE_VALUES = (
@@ -533,60 +589,38 @@ def _chunked_column(draw):
     return chunks, np.asarray(mask, dtype=bool)
 
 
-@settings(max_examples=400, deadline=None)
-@given(_chunked_column(), st.booleans())
-@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), False)
-@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), True)
-# a chunk whose window median is the NaN mean of -inf and +inf
-@example(([[], [math.inf, math.inf, -math.inf, -math.inf]],
-          np.ones(4, dtype=bool)), True)
-def test_partition_median_split_point_matches_reference_bytes(column, stream):
-    """partition_median's split point has the bytes of np.median's (or
-    of the heavy-ties fallback's) plus 0.0, and each half's cover is the
-    parent's bits inside its interval, chunk by chunk, on the gather
-    path and on the streaming path alike."""
-    from repro.core import partition as part
-
-    chunks, mask = column
-    sizes = tuple(len(c) for c in chunks)
+def _check_split(chunks, space):
+    """Split ``space`` of the column ``chunks`` and check it against the
+    reference: the split point has the bytes of np.median's (or of the
+    heavy-ties fallback's) plus 0.0, a midpoint no interval can end at
+    raises what ``Interval`` raises, and each half's segment ``i`` is
+    ``cover.segment(i) & np.packbits(half.interval.cover(chunk_i))``.
+    Returns the halves (``None`` when unsplittable or refused)."""
     values = np.concatenate([np.asarray(c, dtype=np.float64) for c in chunks])
-    cover = Cover.from_dense(mask, sizes)
-    space = Space(
-        {"x": Interval(-math.inf, math.inf, True, True)},
-        cover,
-        np.array([cover.count()], dtype=np.int64),
-        {},
-    )
-    with np.errstate(invalid="ignore"):
-        expected = _dense_median_expectation(values[mask])
-    budget, fallback = part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK
-    if stream:
-        # stream every multi-chunk space and make the pivot loop narrow;
-        # a one-chunk space gathers without holding its column, so its
-        # halves read the column again
-        part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK = 0, 2
-    try:
-        with np.errstate(invalid="ignore"):
-            if expected is not None and math.isnan(expected):
-                # the two middle values are -inf and +inf: their mean is
-                # NaN, which Interval refuses as an endpoint
-                with pytest.raises(ValueError, match="NaN"):
+    cover = space.cover
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = _dense_median_expectation(values[cover.to_dense()])
+    if expected is not None:
+        interval = space.intervals["x"]
+        try:
+            Interval(interval.lo, expected, interval.lo_closed, True)
+            Interval(expected, interval.hi, False, interval.hi_closed)
+        except ValueError as refused:
+            # the two middle values are -inf and +inf (a NaN mean), or
+            # their sum overflows past the interval's bound
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(ValueError, match=re.escape(str(refused))):
                     partition_median(_FakeChunkedColumn(chunks), space, "x")
-                return
-            halves = partition_median(_FakeChunkedColumn(chunks), space, "x")
-    finally:
-        part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK = (
-            budget, fallback,
-        )
+            return None
+    with np.errstate(invalid="ignore", over="ignore"):
+        halves = partition_median(_FakeChunkedColumn(chunks), space, "x")
     if expected is None:
         assert halves is None
-        return
+        return None
     left, right = halves
     assert _bits(left.interval.hi) == _bits(right.interval.lo) == _bits(
         expected + 0.0
     )
-    # The reference half cover: the parent's bits AND the packed
-    # interval cover of the chunk.
     for half in halves:
         assert len(half.segments) == len(chunks)
         for i, chunk in enumerate(chunks):
@@ -594,6 +628,58 @@ def test_partition_median_split_point_matches_reference_bytes(column, stream):
                 half.interval.cover(np.asarray(chunk, dtype=np.float64))
             )
             assert half.segments[i].tobytes() == reference.tobytes()
+    return halves
+
+
+@settings(max_examples=400, deadline=None)
+@given(_chunked_column(), st.booleans())
+@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), False)
+@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), True)
+# a chunk whose window median is the NaN mean of -inf and +inf
+@example(([[], [math.inf, math.inf, -math.inf, -math.inf]],
+          np.ones(4, dtype=bool)), True)
+# the right half's middles sum past -max: its midpoint overflows to
+# -inf, below the half's lower bound
+@example(([[-1.7e308, -1.6e308, -1.5e308, -1.4e308],
+           [-1.0e308, -0.99e308, -0.95e308, -0.9e308, 5.0]],
+          np.ones(9, dtype=bool)), False)
+def test_partition_median_split_point_matches_reference_bytes(column, stream):
+    """partition_median's split point has the bytes of np.median's (or
+    of the heavy-ties fallback's) plus 0.0, and each half's cover is the
+    parent's bits inside its interval, chunk by chunk, on the gather
+    path and on the streaming path alike: at the root, and again when
+    each half of the root is split in turn."""
+    from repro.core import partition as part
+
+    chunks, mask = column
+    sizes = tuple(len(c) for c in chunks)
+    cover = Cover.from_dense(mask, sizes)
+    root = Space(
+        {"x": Interval(-math.inf, math.inf, True, True)},
+        cover,
+        np.array([cover.count()], dtype=np.int64),
+        {},
+    )
+    budget, fallback = part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK
+    if stream:
+        # stream every multi-chunk space, read every column chunk by
+        # chunk, and make the pivot loop narrow
+        part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK = 0, 2
+    try:
+        halves = _check_split(chunks, root)
+        for half in halves or ():
+            child_cover = Cover(half.segments, sizes)
+            child = Space(
+                {"x": half.interval},
+                child_cover,
+                np.array([child_cover.count()], dtype=np.int64),
+                {},
+            )
+            _check_split(chunks, child)
+    finally:
+        part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK = (
+            budget, fallback,
+        )
 
 
 @pytest.mark.parametrize(
