@@ -98,6 +98,7 @@ class BatchEvaluator:
             measures.get_batch(measure) if measure is not None else None
         )
         self._ranges: dict[str, object] = {}
+        self._root_splits: dict[Itemset, dict[str, float | None]] = {}
 
     def range_of(self, attribute: str):
         """Cached :class:`~repro.core.partition.AttributeRange`.
@@ -114,6 +115,21 @@ class BatchEvaluator:
             rng = AttributeRange.of(self.dataset, attribute)
             self._ranges[attribute] = rng
         return rng
+
+    def root_split_points(self, context: Itemset) -> dict[str, float | None]:
+        """Memo of the root split points of SDAD-CS runs over ``context``,
+        by attribute (``None`` where the root cannot be split).
+
+        A root is the context's cover over every attribute's full
+        [min, max] (:meth:`range_of`), so its split of one attribute
+        depends only on the context and the attribute, never on the
+        run's other attributes.  Every run over ``context`` sharing this
+        evaluator, and so its config's split statistic, reads and fills
+        the same memo through
+        :func:`~repro.core.partition.partition_median`.  It holds one
+        float per (context, attribute) and no cover.
+        """
+        return self._root_splits.setdefault(context, {})
 
     # ------------------------------------------------------------------
     # Shared verdict kernel

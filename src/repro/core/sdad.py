@@ -96,7 +96,7 @@ class _SDADRun:
         self.measure = measures.get(config.interest_measure)
         # Vectorized per-frame driver (DESIGN.md §12).  The outer search
         # passes one long-lived evaluator so its dataset-level caches
-        # (attribute ranges) span all runs.
+        # (attribute ranges, root split points) span all runs.
         if evaluator is None:
             evaluator = BatchEvaluator(
                 dataset, pipeline, self.backend, config.interest_measure
@@ -106,6 +106,7 @@ class _SDADRun:
         self.pattern_level = base_level + len(self.continuous)
         self.root_intervals: dict[str, object] = {}
         self.all_contrasts: list[Space] = []
+        self.root: Space | None = None
 
     # -- helpers ---------------------------------------------------------
 
@@ -150,16 +151,28 @@ class _SDADRun:
         cache once per sweep, not once per space (DESIGN.md §13).  The
         order of the splits changes no child: ``find_combinations``
         orders the halves by ``space.attributes``, and it still runs
-        once per space, in ``spaces`` order.
+        once per space, in ``spaces`` order.  Each space's covered row
+        offsets are computed by its first gather and serve its other
+        attributes; the spaces are disjoint, so the sweep holds at most
+        8 bytes of them per row, and drops them when it returns.  The
+        root's split points come from the evaluator's memo, shared with
+        every run over the same context (DESIGN.md §13).
         """
         splits: list[dict] = [{} for _ in spaces]
+        offsets: list[list] = [[] for _ in spaces]
         for name in self.continuous:
-            for space, found in zip(spaces, splits):
+            for space, found, rows in zip(spaces, splits, offsets):
                 halves = partition_median(
                     self.dataset,
                     space,
                     name,
                     self.config.split_statistic,
+                    offsets=rows,
+                    split_points=(
+                        self.batch.root_split_points(self.categorical)
+                        if space is self.root
+                        else None
+                    ),
                 )
                 if halves is not None:
                     found[name] = halves
@@ -193,6 +206,7 @@ class _SDADRun:
         )
         if root.total_count == 0:
             return self.result
+        self.root = root
         self.root_intervals = dict(root.intervals)
         self.db_size = root.total_count
         found = self._explore(root, level=1, parent_measure=0.0)

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import warnings
 import weakref
 from collections import Counter
 from types import SimpleNamespace
@@ -339,14 +340,22 @@ class _FakeChunkedColumn:
 def _dense_median_expectation(values):
     """The reference split point: ``np.median`` of the non-NaN values,
     or the largest distinct value below the maximum when the median
-    reaches it (None when unsplittable)."""
+    reaches it (None when unsplittable).  Where two finite middles sum
+    past ±max, ``np.median`` gives ±inf and the reference is half of
+    each, summed."""
     finite = values[~np.isnan(values)]
     if finite.size == 0:
         return None
     vmin, vmax = float(finite.min()), float(finite.max())
     if vmin == vmax:
         return None
-    median = float(np.median(finite))
+    with np.errstate(over="ignore"):
+        median = float(np.median(finite))
+    ordered = np.sort(finite)
+    low, high = (float(ordered[(finite.size - 1) >> 1]),
+                 float(ordered[finite.size >> 1]))
+    if math.isinf(median) and math.isfinite(low) and math.isfinite(high):
+        median = low / 2.0 + high / 2.0
     if median >= vmax:
         median = float(np.unique(finite)[-2])
     return median
@@ -560,7 +569,9 @@ def _chunked_column(draw):
     Values mix NaN, ±inf, ±0.0, subnormals and extreme magnitudes.  A
     column is constant, two-valued (half the time ties at the maximum
     reach the median) or free; chunk lengths of 0-3 make samples of
-    1-3 covered values common, over 1-4 chunks.
+    1-3 covered values common, over 1-4 chunks.  Each chunk's mask is
+    all covered, none covered or random, so a gather copies some
+    chunks, takes others at their row offsets, and skips empty ones.
     """
     edge = st.sampled_from(_EDGE_VALUES)
     kind = draw(st.sampled_from(("constant", "two", "free")))
@@ -583,10 +594,16 @@ def _chunked_column(draw):
         )
     )
     chunks = [draw(st.lists(pool, min_size=n, max_size=n)) for n in sizes]
-    mask = draw(
-        st.lists(st.booleans(), min_size=sum(sizes), max_size=sum(sizes))
-    )
-    return chunks, np.asarray(mask, dtype=bool)
+    masks = []
+    for n in sizes:
+        kind = draw(st.sampled_from(("all", "none", "random")))
+        if kind == "random":
+            masks.extend(
+                draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            )
+        else:
+            masks.extend([kind == "all"] * n)
+    return chunks, np.asarray(masks, dtype=bool)
 
 
 def _check_split(chunks, space):
@@ -606,8 +623,7 @@ def _check_split(chunks, space):
             Interval(interval.lo, expected, interval.lo_closed, True)
             Interval(expected, interval.hi, False, interval.hi_closed)
         except ValueError as refused:
-            # the two middle values are -inf and +inf (a NaN mean), or
-            # their sum overflows past the interval's bound
+            # the two middle values are -inf and +inf (a NaN mean)
             with np.errstate(invalid="ignore", over="ignore"):
                 with pytest.raises(ValueError, match=re.escape(str(refused))):
                     partition_median(_FakeChunkedColumn(chunks), space, "x")
@@ -638,8 +654,8 @@ def _check_split(chunks, space):
 # a chunk whose window median is the NaN mean of -inf and +inf
 @example(([[], [math.inf, math.inf, -math.inf, -math.inf]],
           np.ones(4, dtype=bool)), True)
-# the right half's middles sum past -max: its midpoint overflows to
-# -inf, below the half's lower bound
+# the right half's middles sum past -max: it splits at half of each
+# middle, summed, inside its interval
 @example(([[-1.7e308, -1.6e308, -1.5e308, -1.4e308],
            [-1.0e308, -0.99e308, -0.95e308, -0.9e308, 5.0]],
           np.ones(9, dtype=bool)), False)
@@ -698,6 +714,24 @@ def test_zero_split_point_is_positive_zero(statistic, x):
                   + [0] * (len(x) % 2))
     left, right = partition_median(ds, _root(ds, ("x",)), "x", statistic)
     assert _bits(left.interval.hi) == _bits(right.interval.lo) == _bits(0.0)
+
+
+def test_overflowing_midpoint_splits_between_the_middles():
+    """Two finite middles whose sum overflows past -max split at half of
+    each, summed, without a warning, and a mine of the column runs."""
+    from repro.core.config import MinerConfig
+    from repro.core.miner import ContrastSetMiner
+
+    x = np.array([-1.7e308, -1.6e308, -1.5e308, -1.4e308, 5.0, 6.0])
+    schema = Schema.of([Attribute.continuous("x")])
+    ds = Dataset(schema, {"x": x}, np.array([0, 1] * 3), ["A", "B"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        left, right = partition_median(ds, _root(ds, ("x",)), "x")
+        ContrastSetMiner(MinerConfig(max_tree_depth=1)).mine(ds)
+    assert _bits(left.interval.hi) == _bits(right.interval.lo) == _bits(
+        -1.45e308
+    )
 
 
 def test_partition_median_rejects_unknown_statistic():

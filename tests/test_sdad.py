@@ -303,7 +303,8 @@ class TestKnownPure:
 
 class TestSiblingSweep:
     """A frame's siblings are split attribute by attribute, so a chunked
-    view gathers each split attribute once per sweep."""
+    view gathers each split attribute once per sweep, and each sibling's
+    row offsets serve all of its attributes."""
 
     @staticmethod
     def _run(view):
@@ -325,7 +326,11 @@ class TestSiblingSweep:
     def test_sweep_gathers_each_attribute_once(
         self, rng, tmp_path, monkeypatch
     ):
-        from repro.core.partition import full_space
+        from repro.core.partition import (
+            find_combinations,
+            full_space,
+            partition_median,
+        )
         from repro.dataset.chunked import ChunkedDataset, ChunkedView
 
         n = 600
@@ -362,15 +367,138 @@ class TestSiblingSweep:
         per_space = [one_by_one._split_spaces([s])[0] for s in siblings]
         assert gathered == ["a", "b", "c"] * 3
 
+        # Children from one partition_median call per (space,
+        # attribute), each gathering at offsets of its own.
+        alone = self._run(store.view())
+        per_split = []
+        for space in siblings:
+            found = {}
+            for name in names:
+                halves = partition_median(alone.dataset, space, name)
+                if halves is not None:
+                    found[name] = halves
+            per_split.append(
+                find_combinations(alone.dataset, space, found, alone.backend)
+            )
+
         assert [len(children) for children in swept] == [8, 8, 8]
-        for got, expected in zip(swept, per_space):
-            assert len(got) == len(expected)
-            for child, reference in zip(got, expected):
-                assert child.intervals == reference.intervals
-                assert child.cover.n_chunks == reference.cover.n_chunks == 3
-                for i in range(3):
+        for expected in (per_space, per_split):
+            for got, reference_children in zip(swept, expected):
+                assert len(got) == len(reference_children)
+                for child, reference in zip(got, reference_children):
+                    assert child.intervals == reference.intervals
                     assert (
-                        child.cover.segment(i).tobytes()
-                        == reference.cover.segment(i).tobytes()
+                        child.cover.n_chunks
+                        == reference.cover.n_chunks
+                        == 3
                     )
-                assert np.array_equal(child.counts, reference.counts)
+                    for i in range(3):
+                        assert (
+                            child.cover.segment(i).tobytes()
+                            == reference.cover.segment(i).tobytes()
+                        )
+                    assert np.array_equal(child.counts, reference.counts)
+
+
+class TestRootSplitMemo:
+    """A search's SDAD-CS runs share one evaluator, which holds each
+    root's split points, so each (context, attribute) is split once."""
+
+    @staticmethod
+    def _dataset(rng):
+        n = 900
+        group = rng.integers(0, 2, n)
+        shape = np.where(
+            group == 1,
+            rng.choice(3, n, p=[0.6, 0.3, 0.1]),
+            rng.choice(3, n, p=[0.2, 0.3, 0.5]),
+        )
+        schema = Schema.of(
+            [Attribute.continuous(name) for name in ("a", "b", "c")]
+            + [Attribute.categorical("shape", ["round", "flat", "long"])]
+        )
+        columns = {
+            "a": rng.uniform(0, 1, n) + 0.4 * group,
+            "b": rng.normal(0, 1, n) - 0.3 * group,
+            "c": rng.uniform(0, 1, n),
+            "shape": shape,
+        }
+        return Dataset(schema, columns, group, ["A", "B"])
+
+    @staticmethod
+    def _outcome(result):
+        from dataclasses import asdict
+
+        from repro.core.serialize import patterns_to_dicts
+
+        counters = asdict(result.stats)
+        del counters["elapsed_seconds"], counters["prune_rule_seconds"]
+        return patterns_to_dicts(result.patterns), counters
+
+    def test_each_context_and_attribute_is_split_once(
+        self, rng, monkeypatch
+    ):
+        from collections import Counter
+        from types import SimpleNamespace
+
+        from repro.core import partition, sdad, search
+        from repro.core.miner import ContrastSetMiner
+
+        ds = self._dataset(rng)
+        config = MinerConfig(max_tree_depth=3)
+        requested: Counter = Counter()
+        computed: Counter = Counter()
+        state = SimpleNamespace(context=None, root=None, key=None)
+
+        real_run = sdad._SDADRun.run
+        real_full_space = sdad.full_space
+        real_split = sdad.partition_median
+        real_point = partition._dense_split_point
+
+        def run(self):
+            state.context = self.categorical
+            return real_run(self)
+
+        def full_space(*args, **kwargs):
+            state.root = real_full_space(*args, **kwargs)
+            return state.root
+
+        def split(dataset, space, attribute, *args, **kwargs):
+            if space is state.root:
+                state.key = (state.context, attribute)
+                requested[state.key] += 1
+            try:
+                return real_split(dataset, space, attribute, *args, **kwargs)
+            finally:
+                state.key = None
+
+        def point(values, statistic):
+            if state.key is not None:
+                computed[state.key] += 1
+            return real_point(values, statistic)
+
+        monkeypatch.setattr(sdad._SDADRun, "run", run)
+        monkeypatch.setattr(sdad, "full_space", full_space)
+        monkeypatch.setattr(sdad, "partition_median", split)
+        monkeypatch.setattr(partition, "_dense_split_point", point)
+        shared = ContrastSetMiner(config).mine(ds)
+
+        assert computed == Counter(dict.fromkeys(requested, 1))
+        contexts = {context for context, _ in requested}
+        assert len(contexts) > 1
+        assert sum(requested.values()) > len(requested)
+
+        # The same search with a fresh evaluator, so a fresh memo, per
+        # run recomputes every request and finds the same outcome.
+        real_sdad_cs = search.sdad_cs
+
+        def fresh_evaluator(*args, evaluator=None, **kwargs):
+            return real_sdad_cs(*args, **kwargs)
+
+        monkeypatch.setattr(search, "sdad_cs", fresh_evaluator)
+        requested.clear()
+        computed.clear()
+        fresh = ContrastSetMiner(config).mine(ds)
+        assert computed == requested
+        assert self._outcome(fresh) == self._outcome(shared)
+        assert shared.patterns
