@@ -38,7 +38,6 @@ from repro.core.pipeline import (
     PHASE_ITEMSET,
     PHASE_SPACE,
     EvaluationBatch,
-    EvaluationContext,
     PruningPipeline,
     chi2_critical,
 )
@@ -73,7 +72,6 @@ def _case(phase, rows, subset, mode="all"):
     ]
     return {
         "phase": phase,
-        "patterns": patterns,
         "keys": [p.itemset for p in patterns],
         "counts": np.asarray(rows, dtype=np.int64),
         "subset": subset,
@@ -103,40 +101,26 @@ def _workload():
 
 
 def _batch(case, config) -> EvaluationBatch:
-    patterns, subset = case["patterns"], case["subset"]
     if case["phase"] == PHASE_SPACE:
-        n = len(patterns)
+        subset = case["subset"]
         return EvaluationBatch(
             keys=case["keys"],
             config=config,
             alpha=config.alpha,
             phase=PHASE_SPACE,
-            level=2,
             counts=case["counts"],
             group_sizes=SIZES,
-            shared_subset_groups=[(np.arange(n), lambda: subset)],
+            shared_subset_groups=[
+                (np.arange(len(case["keys"])), lambda: subset)
+            ],
         )
-
-    def context(i):
-        return EvaluationContext(
-            key=patterns[i].itemset,
-            config=config,
-            alpha=config.alpha,
-            level=2,
-            itemset=patterns[i].itemset,
-            pattern=patterns[i],
-            subset_patterns=(subset,),
-        )
-
     return EvaluationBatch(
         keys=case["keys"],
         config=config,
         alpha=config.alpha,
-        level=2,
         counts=None if case["mode"] == "pattern_free" else case["counts"],
         group_sizes=SIZES,
         subset_patterns=case["subset_patterns"],
-        context_factory=context,
     )
 
 

@@ -19,7 +19,7 @@ from .core.config import MinerConfig
 from .core.contrast import ContrastPattern
 from .core.items import CategoricalItem, Interval, Itemset, NumericItem
 from .core.miner import ContrastSetMiner, MiningResult, MiningSummary
-from .core.pipeline import EvaluationContext, PruneRule, PruningPipeline
+from .core.pipeline import PruneRule, PruningPipeline
 from .core.sdad import sdad_cs
 from .dataset.chunked import ChunkedDataset, ChunkedView
 from .dataset.schema import Attribute, AttributeKind, Schema
@@ -33,7 +33,7 @@ from .serve import (
     StoreError,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "MinerConfig",
@@ -45,7 +45,6 @@ __all__ = [
     "ContrastSetMiner",
     "MiningResult",
     "MiningSummary",
-    "EvaluationContext",
     "PruneRule",
     "PruningPipeline",
     "sdad_cs",

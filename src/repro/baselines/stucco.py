@@ -17,20 +17,22 @@ the top-k by support difference.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..core.config import MinerConfig
-from ..core.contrast import ContrastPattern, evaluate_itemset
+from ..core.contrast import ContrastPattern
 from ..core.instrumentation import MiningStats, Stopwatch
 from ..core.items import CategoricalItem, Itemset
 from ..core.pipeline import (
-    EvaluationContext,
+    EvaluationBatch,
     OptimisticChiSquareRule,
     PruningPipeline,
 )
 from ..core.stats import AlphaLadder
+from ..counting import backend_for
 from ..dataset.table import Dataset
 
 __all__ = ["StuccoConfig", "StuccoResult", "stucco"]
@@ -106,6 +108,9 @@ def stucco(
         ),
         stats=stats,
     )
+    backend = backend_for(dataset)
+    sizes = dataset.group_sizes
+    labels = dataset.group_labels
 
     with Stopwatch(stats):
         # level 1 candidates: every attribute value
@@ -121,27 +126,32 @@ def stucco(
                 if config.use_bonferroni
                 else config.alpha
             )
-            survivors: list[Itemset] = []
-            for itemset in frontier:
-                stats.partitions_evaluated += 1
-                pattern = evaluate_itemset(itemset, dataset, level)
-                ctx = EvaluationContext(
-                    key=itemset,
-                    config=pipeline.config,
-                    alpha=alpha,
+            # The whole level is one batch: one counting sweep, one pass
+            # down the rule chain, one gate call over the kept nodes.
+            stats.partitions_evaluated += len(frontier)
+            counts = backend.group_counts_batch(frontier)
+            batch = EvaluationBatch(
+                keys=frontier,
+                config=pipeline.config,
+                alpha=alpha,
+                counts=counts,
+                group_sizes=sizes,
+            )
+            kept = np.flatnonzero(pipeline.evaluate_batch(batch))
+            for i in kept:
+                pattern = ContrastPattern(
+                    itemset=frontier[i],
+                    counts=tuple(int(c) for c in counts[i]),
+                    group_sizes=sizes,
+                    group_labels=labels,
                     level=level,
-                    itemset=itemset,
-                    pattern=pattern,
                 )
-                if pipeline.evaluate(ctx).pruned:
-                    continue
                 if pattern.is_contrast(config.delta, alpha):
                     found.append(pattern)
-                # expand only if some specialisation could be significant
-                if pipeline.check_gate(_EXPANSION_GATE, ctx):
-                    stats.spaces_pruned += 1
-                else:
-                    survivors.append(itemset)
+            # expand only if some specialisation could be significant
+            gated = pipeline.gate_batch(_EXPANSION_GATE, batch, kept)
+            stats.spaces_pruned += int(gated.sum())
+            survivors = [frontier[i] for i in kept[~gated]]
             frontier = _next_level(survivors, dataset, names)
             stats.candidates_generated += len(frontier)
             level += 1

@@ -5,7 +5,6 @@ from .contrast import ContrastPattern, evaluate_itemset
 from .cover import Cover
 from .items import CategoricalItem, Interval, Item, Itemset, NumericItem
 from .pipeline import (
-    EvaluationContext,
     PruneRule,
     PruningPipeline,
     default_rules,
@@ -24,7 +23,6 @@ __all__ = [
     "Item",
     "Itemset",
     "NumericItem",
-    "EvaluationContext",
     "PruneRule",
     "PruningPipeline",
     "default_rules",

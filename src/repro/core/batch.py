@@ -41,7 +41,6 @@ from .pipeline import (
     PHASE_SPACE,
     CandidateOutcome,
     EvaluationBatch,
-    EvaluationContext,
     PruningPipeline,
 )
 from .pruning import is_pure_space, is_pure_space_batch
@@ -185,7 +184,6 @@ class BatchEvaluator:
         level: int,
         subset_patterns: Mapping[Itemset, ContrastPattern],
         known_pure: Sequence[Itemset],
-        threshold: float = 0.0,
     ) -> list[CandidateOutcome]:
         """Candidates of one or more categorical combinations, batched.
 
@@ -204,26 +202,8 @@ class BatchEvaluator:
         fresh = [its for its in candidates if not pipeline.seen(its)]
         if not fresh:
             return []
-
-        def precheck_context(i: int) -> EvaluationContext:
-            return EvaluationContext(
-                key=fresh[i],
-                config=config,
-                alpha=alpha,
-                level=level,
-                itemset=fresh[i],
-                known_pure=known_pure,
-                threshold=threshold,
-            )
-
         precheck = EvaluationBatch(
-            keys=fresh,
-            config=config,
-            alpha=alpha,
-            level=level,
-            threshold=threshold,
-            known_pure=known_pure,
-            context_factory=precheck_context,
+            keys=fresh, config=config, alpha=alpha, known_pure=known_pure
         )
         keep = pipeline.evaluate_batch(precheck, pattern_free_only=True)
         survivors = [its for its, kept in zip(fresh, keep) if kept]
@@ -248,45 +228,14 @@ class BatchEvaluator:
                 )
             return pattern
 
-        def evaluate_context(i: int) -> EvaluationContext:
-            itemset = survivors[i]
-
-            def subsets() -> list[ContrastPattern]:
-                found = []
-                for attribute in itemset.attributes:
-                    subset = subset_patterns.get(
-                        itemset.without_attribute(attribute)
-                    )
-                    if subset is not None:
-                        found.append(subset)
-                return found
-
-            return EvaluationContext(
-                key=itemset,
-                config=config,
-                alpha=alpha,
-                level=level,
-                itemset=itemset,
-                known_pure=known_pure,
-                threshold=threshold,
-                counts=tuple(int(c) for c in counts[i]),
-                group_sizes=sizes,
-                total_count=int(counts[i].sum()),
-                pattern_factory=lambda: pattern_at(i),
-                subsets_factory=subsets,
-            )
-
         batch = EvaluationBatch(
             keys=survivors,
             config=config,
             alpha=alpha,
-            level=level,
-            threshold=threshold,
             known_pure=known_pure,
             counts=counts,
             group_sizes=sizes,
             subset_patterns=subset_patterns,
-            context_factory=evaluate_context,
         )
         kept_mask = pipeline.evaluate_batch(batch, skip_pattern_free=True)
         kept_idx = np.flatnonzero(kept_mask)
@@ -312,41 +261,12 @@ class BatchEvaluator:
     # SDAD-CS space batches (one recursion frame)
     # ------------------------------------------------------------------
 
-    def score_spaces(
-        self,
-        spaces: Sequence,
-        *,
-        categorical: Itemset,
-        alpha: float,
-        level: int,
-        threshold: float,
-        known_pure: Sequence[Itemset],
-        region,
-        pattern_of: Callable[[object], ContrastPattern],
-    ) -> list[SpaceVerdict | None]:
-        """One SDAD-CS frame's child spaces, batched.
-
-        Convenience wrapper over :meth:`score_frames` for a single
-        (parent region, child spaces) frame.
-        """
-        return self.score_frames(
-            [(spaces, region)],
-            categorical=categorical,
-            alpha=alpha,
-            level=level,
-            threshold=threshold,
-            known_pure=known_pure,
-            pattern_of=pattern_of,
-        )[0]
-
     def score_frames(
         self,
         frames: Sequence[tuple[Sequence, object]],
         *,
         categorical: Itemset,
         alpha: float,
-        level: int,
-        threshold: float,
         known_pure: Sequence[Itemset],
         pattern_of: Callable[[object], ContrastPattern],
     ) -> list[list[SpaceVerdict | None]]:
@@ -354,8 +274,8 @@ class BatchEvaluator:
 
         ``frames`` is a sequence of ``(child_spaces, parent_region)``
         pairs sharing one categorical context, split alpha, and frozen
-        threshold/known-pure state — exactly the sibling frames of one
-        recursion level of a run.  Returns one verdict list per frame,
+        known-pure state — exactly the sibling frames of one recursion
+        level of a run.  Returns one verdict list per frame,
         each aligned with its spaces: ``None`` where the space was pruned
         (lookup table or rule chain — already recorded), a
         :class:`SpaceVerdict` where it survived.
@@ -367,11 +287,9 @@ class BatchEvaluator:
         space-phase rule reads only run-frozen state, and the redundancy
         rule receives each child's own parent via per-frame groups.
         ``pattern_of`` is the run's ``_pattern_of``, invoked lazily: once
-        per parent whose direction the redundancy rule needs, and per
-        space only when a scalar-fallback rule asks.
+        per parent whose direction the redundancy rule needs.
         """
         pipeline = self.pipeline
-        config = self.config
         spaces_flat: list = []
         frame_of: list[int] = []
         for f, (spaces, _region) in enumerate(frames):
@@ -392,8 +310,6 @@ class BatchEvaluator:
                 verdicts,
                 categorical=categorical,
                 alpha=alpha,
-                level=level,
-                threshold=threshold,
                 known_pure=known_pure,
                 pattern_of=pattern_of,
             )
@@ -415,13 +331,10 @@ class BatchEvaluator:
         *,
         categorical,
         alpha,
-        level,
-        threshold,
         known_pure,
         pattern_of,
     ) -> None:
         pipeline = self.pipeline
-        config = self.config
         counts = np.stack(
             [
                 np.asarray(spaces_flat[i].counts, dtype=np.int64)
@@ -451,44 +364,16 @@ class BatchEvaluator:
             if rows.size:
                 groups.append((rows, lambda f=f: subset_of(f)))
 
-        def space_context(j: int) -> EvaluationContext:
-            i = fresh_idx[j]
-            space = spaces_flat[i]
-            f = frame_of[i]
-
-            def subsets() -> tuple:
-                subset = subset_of(f)
-                return (subset,) if subset is not None else ()
-
-            return EvaluationContext(
-                key=keys[i],
-                config=config,
-                alpha=alpha,
-                level=level,
-                phase=PHASE_SPACE,
-                threshold=threshold,
-                known_pure=known_pure,
-                counts=space.counts,
-                group_sizes=sizes,
-                total_count=space.total_count,
-                itemset_factory=lambda: space.itemset_with(categorical),
-                pattern_factory=lambda: pattern_of(space),
-                subsets_factory=subsets,
-            )
-
         batch = EvaluationBatch(
             keys=[keys[i] for i in fresh_idx],
-            config=config,
+            config=self.config,
             alpha=alpha,
             phase=PHASE_SPACE,
-            level=level,
-            threshold=threshold,
             known_pure=known_pure,
             counts=counts,
             group_sizes=sizes,
             spaces=[spaces_flat[i] for i in fresh_idx],
             categorical=categorical,
-            context_factory=space_context,
             shared_subset_groups=groups,
         )
         kept_mask = pipeline.evaluate_batch(batch)

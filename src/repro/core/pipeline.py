@@ -11,15 +11,14 @@ the optimistic and redundancy rules entirely and used a looser alpha.
 
 This module makes candidate evaluation first-class:
 
-* :class:`EvaluationContext` — everything a rule may need to judge one
-  candidate: the itemset (or a lazy factory for it), the counted
-  per-group supports, the evaluated :class:`ContrastPattern` (lazy), the
-  alpha-ladder level, the live top-k threshold, subset patterns for the
-  redundancy test, and the pure-region registry.
+* :class:`EvaluationBatch` — everything a rule may need to judge N
+  candidates at once: their keys, the stacked per-group counts, the
+  alpha, subset patterns for the redundancy test, and the pure-region
+  registry.
 * :class:`PruneRule` — one pruning strategy as an object: a stable name,
   the :class:`PruneReason` it records, an enablement predicate over
   :class:`MinerConfig` (which is how the SDAD-CS NP ablation flags keep
-  working), and the check itself.
+  working), and the batch check itself.
 * :class:`PruningPipeline` — the ordered, config-driven chain.  It owns
   the prune lookup table and the run's :class:`MiningStats`, counts
   per-rule checks/hits/wall-time, and records every decision, so serial,
@@ -46,19 +45,10 @@ from .config import MinerConfig
 from .contrast import ContrastPattern
 from .instrumentation import MiningStats
 from .items import CategoricalItem, Itemset, NumericItem
-from .optimistic import chi_square_estimate, chi_square_estimate_batch
-from .pruning import (
-    PruneDecision,
-    PruneReason,
-    PruneTable,
-    expected_count_prunes,
-    minimum_deviation_prunes,
-    redundant_against_subset,
-    redundant_against_subset_batch,
-)
+from .optimistic import chi_square_estimate_batch
+from .pruning import PruneReason, PruneTable, redundant_against_subset_batch
 
 __all__ = [
-    "EvaluationContext",
     "EvaluationBatch",
     "PruneRule",
     "EmptyRule",
@@ -95,121 +85,14 @@ def chi2_critical(alpha: float, dof: int) -> float:
     return float(_scipy_stats.chi2.isf(alpha, dof))
 
 
-class EvaluationContext:
-    """Everything a prune rule may need to judge one candidate.
-
-    The expensive members are lazy: ``itemset`` and ``pattern`` can be
-    given as factories that run only when a rule actually needs them
-    (SDAD-CS spaces, for instance, only materialise a pattern when the
-    redundancy rule fires), and ``subset_patterns`` can be a factory that
-    resolves the sub-itemset lookups on demand.
-    """
-
-    __slots__ = (
-        "key",
-        "phase",
-        "alpha",
-        "level",
-        "threshold",
-        "config",
-        "known_pure",
-        "counts",
-        "group_sizes",
-        "total_count",
-        "_itemset",
-        "_itemset_factory",
-        "_pattern",
-        "_pattern_factory",
-        "_subsets",
-        "_subsets_factory",
-    )
-
-    def __init__(
-        self,
-        *,
-        key: Hashable,
-        config: MinerConfig,
-        alpha: float,
-        level: int = 1,
-        phase: str = PHASE_ITEMSET,
-        threshold: float = 0.0,
-        known_pure: Sequence[Itemset] = (),
-        counts=None,
-        group_sizes=None,
-        total_count: int | None = None,
-        itemset: Itemset | None = None,
-        itemset_factory: Callable[[], Itemset] | None = None,
-        pattern: ContrastPattern | None = None,
-        pattern_factory: Callable[[], ContrastPattern] | None = None,
-        subset_patterns: Sequence[ContrastPattern] | None = None,
-        subsets_factory: Callable[[], Sequence[ContrastPattern]] | None = None,
-    ) -> None:
-        self.key = key
-        self.config = config
-        self.alpha = alpha
-        self.level = level
-        self.phase = phase
-        self.threshold = threshold
-        self.known_pure = known_pure
-        self.counts = counts
-        self.group_sizes = group_sizes
-        self.total_count = total_count
-        self._itemset = itemset
-        self._itemset_factory = itemset_factory
-        self._pattern = None
-        self._pattern_factory = pattern_factory
-        self._subsets = subset_patterns
-        self._subsets_factory = subsets_factory
-        if pattern is not None:
-            self.attach_pattern(pattern)
-
-    @property
-    def itemset(self) -> Itemset:
-        if self._itemset is None:
-            self._itemset = self._itemset_factory()
-        return self._itemset
-
-    @property
-    def pattern(self) -> ContrastPattern:
-        if self._pattern is None:
-            self._pattern = self._pattern_factory()
-        return self._pattern
-
-    @property
-    def subset_patterns(self) -> Sequence[ContrastPattern]:
-        if self._subsets is None:
-            self._subsets = (
-                tuple(self._subsets_factory())
-                if self._subsets_factory is not None
-                else ()
-            )
-        return self._subsets
-
-    def attach_pattern(self, pattern: ContrastPattern) -> None:
-        """Bind the evaluated pattern (and its counts) to the context."""
-        self._pattern = pattern
-        self.counts = pattern.counts
-        self.group_sizes = pattern.group_sizes
-        self.total_count = pattern.total_count
-
-    def _counts_total(self) -> int:
-        if self.total_count is None:
-            self.total_count = int(sum(self.counts))
-        return self.total_count
-
-
 class EvaluationBatch:
-    """Candidates sharing one alpha and level as a single array program.
+    """Candidates sharing one alpha as a single array program.
 
     An itemset-phase batch holds a run of categorical combinations of one
-    search level; a space-phase batch holds the sibling frames of one
-    recursion level of an SDAD-CS run.  Where :class:`EvaluationContext`
-    carries one candidate, a batch carries N: the stacked
-    ``(N, n_groups)`` counts matrix, the shared alpha/level/config, and
-    lazily-derived arrays (totals, supports) the vectorized rules share.
-    Per-candidate :class:`EvaluationContext` objects are only
-    materialised — through ``context_factory`` — when a rule without a
-    vectorized form falls back to its scalar ``check``.
+    search level (or one STUCCO level); a space-phase batch holds the
+    sibling frames of one recursion level of an SDAD-CS run.  It carries
+    the stacked ``(N, n_groups)`` counts matrix, the shared alpha and
+    config, and lazily-derived arrays (totals, supports) the rules share.
 
     ``counts`` may be ``None`` for the pre-counting batch (pattern-free
     rules only).  The redundancy rule's subsets come from
@@ -228,8 +111,6 @@ class EvaluationBatch:
         "phase",
         "config",
         "alpha",
-        "level",
-        "threshold",
         "known_pure",
         "counts",
         "group_sizes",
@@ -240,8 +121,6 @@ class EvaluationBatch:
         "_sizes_f",
         "_totals",
         "_supports",
-        "_context_factory",
-        "_contexts",
     )
 
     def __init__(
@@ -251,14 +130,11 @@ class EvaluationBatch:
         config: MinerConfig,
         alpha: float,
         phase: str = PHASE_ITEMSET,
-        level: int = 1,
-        threshold: float = 0.0,
         known_pure: Sequence[Itemset] = (),
         counts: np.ndarray | None = None,
         group_sizes: Sequence[int] | None = None,
         spaces: Sequence | None = None,
         categorical: Itemset | None = None,
-        context_factory: Callable[[int], EvaluationContext] | None = None,
         subset_patterns: Mapping[Itemset, ContrastPattern] | None = None,
         shared_subset_groups: Sequence[
             tuple[np.ndarray, Callable[[], ContrastPattern | None]]
@@ -269,8 +145,6 @@ class EvaluationBatch:
         self.phase = phase
         self.config = config
         self.alpha = alpha
-        self.level = level
-        self.threshold = threshold
         self.known_pure = known_pure
         self.spaces = spaces
         self.categorical = categorical
@@ -288,8 +162,6 @@ class EvaluationBatch:
         self._sizes_f = None
         self._totals = None
         self._supports = None
-        self._context_factory = context_factory
-        self._contexts: dict[int, EvaluationContext] = {}
 
     @property
     def size(self) -> int:
@@ -321,13 +193,6 @@ class EvaluationBatch:
             )
         return self._supports
 
-    def context(self, i: int) -> EvaluationContext:
-        """Per-candidate context for scalar-fallback rules (memoized)."""
-        ctx = self._contexts.get(i)
-        if ctx is None:
-            ctx = self._contexts[i] = self._context_factory(i)
-        return ctx
-
 
 class PruneRule:
     """One pruning strategy of Sections 3/4.3 as a pipeline stage.
@@ -338,15 +203,9 @@ class PruneRule:
     pattern-free rules can run before support counting), and optionally
     the candidate phases it applies to.
 
-    Rules may additionally override :meth:`check_batch` to judge a whole
-    :class:`EvaluationBatch` as one boolean mask; the base implementation
-    falls back to the scalar :meth:`check` per candidate, so every rule —
-    including third-party ones that predate the batch engine — works
-    under the batch evaluator unchanged.
-
-    An itemset-phase rule must not read ``threshold``: the search judges
-    a whole run of categorical combinations as one batch, with the top-k
-    threshold as it stood when the run began (DESIGN.md §12).
+    :meth:`check_batch` is the whole protocol: a rule judges an
+    :class:`EvaluationBatch` as one boolean mask, and every subclass,
+    built-in or third-party, must override it.
     """
 
     name: str = "abstract"
@@ -357,27 +216,12 @@ class PruneRule:
     def enabled(self, config: MinerConfig) -> bool:
         return True
 
-    def applies(self, ctx: EvaluationContext) -> bool:
-        return self.phases is None or ctx.phase in self.phases
-
-    def check(self, ctx: EvaluationContext) -> bool:
-        """True when the candidate should be pruned."""
-        raise NotImplementedError
-
     def check_batch(
         self, batch: EvaluationBatch, idx: np.ndarray
     ) -> np.ndarray:
-        """Prune mask over ``batch`` candidates ``idx`` (True = prune).
-
-        Default: the scalar :meth:`check` per still-alive candidate.
-        Overrides must return, for each index, exactly what ``check``
-        would on the equivalent context — bit-identical accounting
-        depends on it.
-        """
-        return np.fromiter(
-            (self.check(batch.context(i)) for i in idx),
-            dtype=bool,
-            count=len(idx),
+        """Prune mask over ``batch`` candidates ``idx`` (True = prune)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} must define check_batch"
         )
 
 
@@ -386,9 +230,6 @@ class EmptyRule(PruneRule):
 
     name = "empty"
     reason = PruneReason.EMPTY
-
-    def check(self, ctx: EvaluationContext) -> bool:
-        return ctx._counts_total() == 0
 
     def check_batch(
         self, batch: EvaluationBatch, idx: np.ndarray
@@ -419,26 +260,33 @@ class PureSpaceRule(PruneRule):
     def enabled(self, config: MinerConfig) -> bool:
         return config.prune_pure_space
 
-    def check(self, ctx: EvaluationContext) -> bool:
-        known = ctx.known_pure
-        if not known:
-            return False
-        candidate = ctx.itemset
-        n = len(candidate)
-        return any(
-            n > len(pure) and pure.region_subsumes(candidate)
-            for pure in known
-        )
-
     def check_batch(
         self, batch: EvaluationBatch, idx: np.ndarray
     ) -> np.ndarray:
         if not batch.known_pure:
             # No registered pure regions: the rule can never fire.
             return np.zeros(len(idx), dtype=bool)
-        if batch.phase == PHASE_SPACE and batch.spaces is not None:
+        if batch.phase == PHASE_SPACE:
             return self._check_spaces(batch, idx)
-        return super().check_batch(batch, idx)
+        return self._check_itemsets(batch, idx)
+
+    @staticmethod
+    def _check_itemsets(
+        batch: EvaluationBatch, idx: np.ndarray
+    ) -> np.ndarray:
+        """Subsumption of each candidate itemset (the batch keys) by a
+        strictly shorter known pure itemset."""
+        known = batch.known_pure
+        keys = batch.keys
+        out = np.zeros(len(idx), dtype=bool)
+        for j, i in enumerate(idx.tolist()):
+            candidate = keys[i]
+            n = len(candidate)
+            out[j] = any(
+                n > len(pure) and pure.region_subsumes(candidate)
+                for pure in known
+            )
+        return out
 
     def _check_spaces(
         self, batch: EvaluationBatch, idx: np.ndarray
@@ -449,8 +297,9 @@ class PureSpaceRule(PruneRule):
         plus one numeric item per box axis, so for each pure region the
         categorical-part match (and the ``n > len(pure)`` guard) is
         decided once per frame; only interval containment along the box
-        axes varies per sibling.  Result per index is exactly what the
-        scalar :meth:`check` returns on the materialised itemset.
+        axes varies per sibling.  Result per index is exactly what
+        :meth:`_check_itemsets` returns on the materialised itemset
+        (``space.itemset_with(categorical)``).
         """
         categorical = batch.categorical
         spaces = batch.spaces
@@ -546,11 +395,6 @@ class MinimumDeviationRule(PruneRule):
     def enabled(self, config: MinerConfig) -> bool:
         return config.prune_min_deviation
 
-    def check(self, ctx: EvaluationContext) -> bool:
-        return minimum_deviation_prunes(
-            ctx.counts, ctx.group_sizes, ctx.config.delta
-        )
-
     def check_batch(
         self, batch: EvaluationBatch, idx: np.ndarray
     ) -> np.ndarray:
@@ -568,11 +412,6 @@ class ExpectedCountRule(PruneRule):
 
     def enabled(self, config: MinerConfig) -> bool:
         return config.prune_expected_count
-
-    def check(self, ctx: EvaluationContext) -> bool:
-        return expected_count_prunes(
-            ctx.counts, ctx.group_sizes, ctx.config.min_expected_count
-        )
 
     def check_batch(
         self, batch: EvaluationBatch, idx: np.ndarray
@@ -604,11 +443,6 @@ class OptimisticChiSquareRule(PruneRule):
     def enabled(self, config: MinerConfig) -> bool:
         return config.prune_optimistic
 
-    def check(self, ctx: EvaluationContext) -> bool:
-        bound = chi_square_estimate(ctx.counts, ctx.group_sizes)
-        dof = max(1, len(ctx.counts) - 1)
-        return bound < chi2_critical(ctx.alpha, dof)
-
     def check_batch(
         self, batch: EvaluationBatch, idx: np.ndarray
     ) -> np.ndarray:
@@ -627,16 +461,6 @@ class RedundancyRule(PruneRule):
 
     def enabled(self, config: MinerConfig) -> bool:
         return config.prune_redundant
-
-    def check(self, ctx: EvaluationContext) -> bool:
-        subsets = ctx.subset_patterns
-        if not subsets:
-            return False
-        pattern = ctx.pattern
-        return any(
-            redundant_against_subset(pattern, subset, ctx.alpha)
-            for subset in subsets
-        )
 
     def check_batch(
         self, batch: EvaluationBatch, idx: np.ndarray
@@ -739,12 +563,13 @@ class PruningPipeline:
 
     One pipeline is built per mining run (or per parallel worker task)
     from :class:`MinerConfig`; it owns the :class:`PruneTable` and writes
-    into the run's :class:`MiningStats`.  Every consumer routes
-    candidates through :meth:`seen` and then :meth:`evaluate_batch` (the
-    level-wise search, SDAD-CS, and the parallel workers, via
-    :class:`~repro.core.batch.BatchEvaluator`) or :meth:`evaluate` (STUCCO,
-    one candidate at a time), which is what guarantees serial, parallel,
-    and backend-swapped runs agree on both patterns and prune accounting.
+    into the run's :class:`MiningStats`.  Every consumer (the level-wise
+    search, SDAD-CS and the parallel workers, via
+    :class:`~repro.core.batch.BatchEvaluator`, and STUCCO, one level at a
+    time) routes candidates through :meth:`evaluate_batch`, the miners
+    after probing :meth:`seen`; that one judge is what guarantees serial,
+    parallel, and backend-swapped runs agree on both patterns and prune
+    accounting.
     """
 
     def __init__(
@@ -754,7 +579,6 @@ class PruningPipeline:
         rules: Sequence[PruneRule] | None = None,
         prune_table: PruneTable | None = None,
         stats: MiningStats | None = None,
-        time_rules: bool = True,
     ) -> None:
         self.config = config or MinerConfig()
         self.all_rules = tuple(rules) if rules is not None else default_rules()
@@ -763,7 +587,6 @@ class PruningPipeline:
         )
         self.prune_table = prune_table if prune_table is not None else PruneTable()
         self.stats = stats if stats is not None else MiningStats()
-        self.time_rules = time_rules
         self.rule_stats: dict[str, RuleStats] = {
             rule.name: RuleStats() for rule in self.rules
         }
@@ -771,11 +594,6 @@ class PruningPipeline:
         # tuple of (rule, record, reason) with the rule filtering and
         # stats-dict lookups resolved once.
         self._plans: dict[tuple[bool, bool, str], tuple] = {}
-        self._keep = PruneDecision.keep()
-        self._drops = {
-            rule.reason: PruneDecision.drop(rule.reason)
-            for rule in self.all_rules
-        }
         self._published_rules: dict[str, RuleStats] = {}
         self._published_reasons: dict[PruneReason, int] = {}
         self._published_table_checks = 0
@@ -791,29 +609,6 @@ class PruningPipeline:
             self.stats.spaces_pruned += 1
             return True
         return False
-
-    def evaluate(self, ctx: EvaluationContext) -> PruneDecision:
-        """Run the rule chain on one evaluated candidate.
-
-        STUCCO's path; the miners judge whole batches through
-        :meth:`evaluate_batch`, with identical accounting.
-        """
-        plan = self._plan(False, False, ctx.phase)
-        clock = time.perf_counter if self.time_rules else None
-        for rule, record, reason in plan:
-            record.checks += 1
-            if clock is not None:
-                start = clock()
-                hit = rule.check(ctx)
-                record.seconds += clock() - start
-            else:
-                hit = rule.check(ctx)
-            if hit:
-                record.hits += 1
-                self.prune_table.add(ctx.key, reason)
-                self.stats.spaces_pruned += 1
-                return self._drops[reason]
-        return self._keep
 
     def _plan(
         self,
@@ -851,13 +646,12 @@ class PruningPipeline:
         (before paying for support counting); ``skip_pattern_free`` runs
         the rest, for a batch that already passed the first pass.
 
-        Accounting is summed identically to running :meth:`evaluate` per
-        candidate: each rule's ``checks`` grows by the number of
-        candidates still alive when it runs (a candidate killed by an
-        earlier rule is never checked by later ones), ``hits`` by the
-        candidates it kills, and each kill lands in the prune table under
-        the first-firing rule's reason — exactly the per-candidate
-        short-circuit order.
+        Accounting is that of a per-candidate short-circuit order: each
+        rule's ``checks`` grows by the number of candidates still alive
+        when it runs (a candidate killed by an earlier rule is never
+        checked by later ones), ``hits`` by the candidates it kills, and
+        each kill lands in the prune table under the first-firing rule's
+        reason.
         """
         n = batch.size
         keep = np.ones(n, dtype=bool)
@@ -865,19 +659,14 @@ class PruningPipeline:
             return keep
         plan = self._plan(pattern_free_only, skip_pattern_free, batch.phase)
         alive = np.arange(n)
-        clock = time.perf_counter if self.time_rules else None
+        clock = time.perf_counter
         for rule, record, reason in plan:
             if alive.size == 0:
                 break
             record.checks += int(alive.size)
-            if clock is not None:
-                start = clock()
-                hits = np.asarray(
-                    rule.check_batch(batch, alive), dtype=bool
-                )
-                record.seconds += clock() - start
-            else:
-                hits = np.asarray(rule.check_batch(batch, alive), dtype=bool)
+            start = clock()
+            hits = np.asarray(rule.check_batch(batch, alive), dtype=bool)
+            record.seconds += clock() - start
             if hits.any():
                 hit_idx = alive[hits]
                 record.hits += int(hit_idx.size)
@@ -890,26 +679,31 @@ class PruningPipeline:
                 alive = alive[~hits]
         return keep
 
-    def check_gate(self, rule: PruneRule, ctx: EvaluationContext) -> bool:
-        """Run one rule as a *gate* (counted, but nothing recorded).
+    # Kept only as a name: the benchmark suite's tracer wraps
+    # ``PruningPipeline.evaluate`` by name (ROADMAP item 5).
+    evaluate = evaluate_batch
+
+    def gate_batch(
+        self, rule: PruneRule, batch: EvaluationBatch, idx: np.ndarray
+    ) -> np.ndarray:
+        """Run one rule as a *gate* over ``batch`` candidates ``idx``:
+        counted, but nothing recorded; True = the gate fires.
 
         STUCCO uses the optimistic chi-square rule this way: a failing
         node is still reported if it is itself a contrast, only its
-        expansion is cut.  The check lands in the per-rule stats under
-        ``<name>(gate)`` so gate effectiveness is observable too.
+        expansion is cut.  The checks land in the per-rule stats under
+        ``<name>(gate)`` so gate effectiveness is observable too; that
+        record only appears once some candidate reaches the gate.
         """
-        name = f"{rule.name}(gate)"
-        record = self.rule_stats.setdefault(name, RuleStats())
-        record.checks += 1
-        if self.time_rules:
-            start = time.perf_counter()
-            hit = rule.check(ctx)
-            record.seconds += time.perf_counter() - start
-        else:
-            hit = rule.check(ctx)
-        if hit:
-            record.hits += 1
-        return hit
+        if not len(idx):
+            return np.zeros(0, dtype=bool)
+        record = self.rule_stats.setdefault(f"{rule.name}(gate)", RuleStats())
+        record.checks += len(idx)
+        start = time.perf_counter()
+        hits = np.asarray(rule.check_batch(batch, idx), dtype=bool)
+        record.seconds += time.perf_counter() - start
+        record.hits += int(hits.sum())
+        return hits
 
     # ------------------------------------------------------------------
     # Publishing into MiningStats

@@ -37,17 +37,13 @@ from .stats import (
     clt_difference_bound_batch,
     difference_is_statistically_same,
     min_expected_count,
-    min_expected_count_batch,
 )
 
 __all__ = [
     "PruneReason",
-    "PruneDecision",
     "PruneTable",
     "minimum_deviation_prunes",
-    "minimum_deviation_prunes_batch",
     "expected_count_prunes",
-    "expected_count_prunes_batch",
     "redundant_against_subset",
     "redundant_against_subset_batch",
     "is_pure_space",
@@ -64,22 +60,6 @@ class PruneReason(enum.Enum):
     REDUNDANT = "statistically redundant with a subset"
     PURE_SPACE = "pure space (PR = 1)"
     EMPTY = "no rows"
-
-
-@dataclass(frozen=True)
-class PruneDecision:
-    """Result of checking a candidate against the pruning rules."""
-
-    pruned: bool
-    reason: PruneReason | None = None
-
-    @staticmethod
-    def keep() -> "PruneDecision":
-        return PruneDecision(False, None)
-
-    @staticmethod
-    def drop(reason: PruneReason) -> "PruneDecision":
-        return PruneDecision(True, reason)
 
 
 @dataclass
@@ -211,30 +191,6 @@ def is_pure_space(
 # Each is bit-identical to its scalar counterpart applied row by row
 # (pinned by tests/test_batch_equivalence.py).
 # ----------------------------------------------------------------------
-
-
-def minimum_deviation_prunes_batch(
-    counts: np.ndarray,
-    group_sizes: Sequence[int] | np.ndarray,
-    delta: float,
-) -> np.ndarray:
-    """Vectorized :func:`minimum_deviation_prunes` (prune rule 1)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    sizes = np.asarray(group_sizes, dtype=np.float64)
-    supports = np.divide(
-        counts, sizes[None, :], out=np.zeros_like(counts),
-        where=(sizes > 0)[None, :],
-    )
-    return np.all(supports <= delta, axis=1)
-
-
-def expected_count_prunes_batch(
-    counts: np.ndarray,
-    group_sizes: Sequence[int] | np.ndarray,
-    minimum: float = 5.0,
-) -> np.ndarray:
-    """Vectorized :func:`expected_count_prunes` (prune rule 2)."""
-    return min_expected_count_batch(counts, group_sizes) < minimum
 
 
 def redundant_against_subset_batch(

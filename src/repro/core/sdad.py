@@ -269,16 +269,13 @@ class _SDADRun:
         # Whole-frame batch (Algorithm 1 line 7 for every sibling):
         # lookup table, rule chain, and verdicts in one array program.
         if verdicts is None:
-            verdicts = self.batch.score_spaces(
-                spaces,
+            verdicts = self.batch.score_frames(
+                [(spaces, region)],
                 categorical=self.categorical,
                 alpha=alpha,
-                level=self.pattern_level,
-                threshold=self.min_interest,
                 known_pure=self.known_pure,
-                region=region,
                 pattern_of=self._pattern_of,
-            )
+            )[0]
         survivors = [
             (space, verdict)
             for space, verdict in zip(spaces, verdicts)
@@ -335,8 +332,6 @@ class _SDADRun:
                         frames,
                         categorical=self.categorical,
                         alpha=self._alpha(level + 1),
-                        level=self.pattern_level,
-                        threshold=self.min_interest,
                         known_pure=self.known_pure,
                         pattern_of=self._pattern_of,
                     )

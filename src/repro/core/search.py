@@ -153,10 +153,9 @@ class SearchEngine:
         All of the run's candidates go through one batch, in combination
         order.  No candidate's verdict depends on another's (DESIGN.md
         §12): candidates come from the previous level only, their keys
-        differ across combinations, a level-``l`` pure itemset cannot
-        prune a level-``l`` candidate, and no itemset-phase rule reads
-        the top-k threshold.  The outcomes are then applied one
-        combination at a time, in the original order.
+        differ across combinations, and a level-``l`` pure itemset
+        cannot prune a level-``l`` candidate.  The outcomes are then
+        applied one combination at a time, in the original order.
         """
         if not combos:
             return
@@ -175,7 +174,6 @@ class SearchEngine:
             level=level,
             subset_patterns=subset_patterns,
             known_pure=self.pure_itemsets,
-            threshold=self.topk.threshold,
         )
         # Outcomes come in candidate order, i.e. combination by
         # combination; itemsets list their attributes sorted.

@@ -197,7 +197,6 @@ def _execute_task(
             level=level,
             subset_patterns=task.subset_patterns,
             known_pure=known_pure,
-            threshold=task.min_interest,
         )
         for result in results:
             outcome.viable_contexts.append(result.itemset)

@@ -4,12 +4,15 @@ Two layers of the vectorized evaluation engine are pinned here:
 
 * ``group_counts_batch`` returns exactly the stacked scalar
   ``group_counts`` rows, for every registered backend (property-based);
-* every vectorized kernel (chi-square, expected counts, prune
-  predicates, optimistic estimates, interest measures) matches its
-  scalar counterpart element for element — bit-identical where the
-  kernel docstring promises it, else to 1e-12;
+* every vectorized kernel (chi-square, expected counts, the minimum
+  deviation and expected count rules' closed forms, optimistic
+  estimates, interest measures) matches its scalar counterpart element
+  for element — bit-identical where the kernel docstring promises it,
+  else to 1e-12;
 * the redundancy rule's batch verdict over (candidate, subset) pairs
-  equals its scalar ``check`` per candidate, in both phases.
+  equals the scalar redundancy test against any of each candidate's
+  subsets, and the pure-space rule's verdict equals subsumption of the
+  materialised itemset by a shorter pure one, in both phases.
 
 End-to-end, the batch driver is pinned to patterns and per-rule prune
 accounting frozen from the retired per-candidate driver
@@ -35,11 +38,13 @@ from repro import (
 )
 from repro.core import measures
 from repro.core.items import Interval, NumericItem
+from repro.core.partition import Space
 from repro.core.pipeline import (
     PHASE_ITEMSET,
     PHASE_SPACE,
     EvaluationBatch,
-    EvaluationContext,
+    ExpectedCountRule,
+    MinimumDeviationRule,
     PureSpaceRule,
     RedundancyRule,
 )
@@ -51,11 +56,10 @@ from repro.core.optimistic import (
 )
 from repro.core.pruning import (
     expected_count_prunes,
-    expected_count_prunes_batch,
     is_pure_space,
     is_pure_space_batch,
     minimum_deviation_prunes,
-    minimum_deviation_prunes_batch,
+    redundant_against_subset,
 )
 from repro.core.stats import (
     chi_square_counts,
@@ -300,8 +304,16 @@ def test_min_expected_count_batch_bit_identical(data):
 @given(data=counts_matrices(), delta=st.floats(0.0, 0.3))
 def test_prune_predicates_batch_match_scalar(data, delta):
     counts, sizes = data
-    dev = minimum_deviation_prunes_batch(counts, sizes, delta)
-    exp = expected_count_prunes_batch(counts, sizes, 5.0)
+    batch = EvaluationBatch(
+        keys=range(len(counts)),
+        config=MinerConfig(delta=delta, min_expected_count=5.0),
+        alpha=0.05,
+        counts=counts,
+        group_sizes=sizes,
+    )
+    idx = np.arange(len(counts))
+    dev = MinimumDeviationRule().check_batch(batch, idx)
+    exp = ExpectedCountRule().check_batch(batch, idx)
     pure = is_pure_space_batch(counts)
     for i, row in enumerate(counts):
         assert bool(dev[i]) == minimum_deviation_prunes(row, sizes, delta)
@@ -344,7 +356,7 @@ def test_interest_measures_batch_match_scalar(data):
 
 
 # ----------------------------------------------------------------------
-# the redundancy rule's batch verdict == its scalar check per candidate
+# the redundancy rule's batch verdict == the scalar test per candidate
 # ----------------------------------------------------------------------
 
 
@@ -481,21 +493,16 @@ def test_redundancy_batch_matches_scalar_check(data):
                 for rows, parent in frames
                 if i in rows and parent is not None
             ]
-        ctx = EvaluationContext(
-            key=itemset,
-            config=config,
-            alpha=data["alpha"],
-            phase=data["phase"],
-            itemset=itemset,
-            pattern=ContrastPattern(
-                itemset,
-                tuple(int(c) for c in data["counts"][i]),
-                sizes,
-                data["labels"],
-            ),
-            subset_patterns=subsets,
+        pattern = ContrastPattern(
+            itemset,
+            tuple(int(c) for c in data["counts"][i]),
+            sizes,
+            data["labels"],
         )
-        assert bool(verdict[j]) == RedundancyRule().check(ctx)
+        assert bool(verdict[j]) == any(
+            redundant_against_subset(pattern, subset, data["alpha"])
+            for subset in subsets
+        )
 
 
 @settings(max_examples=50, deadline=None)
@@ -520,18 +527,146 @@ def test_pure_space_never_fires_on_same_length(shape, other):
     ]
 
     def check(known_pure):
-        return PureSpaceRule().check(
-            EvaluationContext(
-                key=candidate,
-                config=MinerConfig(),
-                alpha=0.05,
-                itemset=candidate,
-                known_pure=known_pure,
-            )
+        batch = EvaluationBatch(
+            keys=[candidate],
+            config=MinerConfig(),
+            alpha=0.05,
+            known_pure=known_pure,
         )
+        return bool(PureSpaceRule().check_batch(batch, np.arange(1))[0])
 
     assert not check(same_length)
     if len(candidate) > 1:
         shorter = candidate.without_attribute(candidate.attributes[0])
         assert check([shorter])
 
+
+
+# ----------------------------------------------------------------------
+# the pure-space rule's batch verdict == subsumption of the itemset
+# ----------------------------------------------------------------------
+
+# A few endpoints, so that one interval often contains another.
+_ENDPOINTS = (0.0, 1.0, 2.0, 3.0)
+
+
+@st.composite
+def _interval(draw):
+    lo, hi = sorted(
+        draw(
+            st.lists(
+                st.sampled_from(_ENDPOINTS), min_size=2, max_size=2,
+                unique=True,
+            )
+        )
+    )
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def _itemset(draw, categorical=("a", "b"), numeric=("x", "y", "z")):
+    """Items over some of ``categorical`` (values u/v) and ``numeric``."""
+    items = [
+        CategoricalItem(name, draw(st.sampled_from(["u", "v"])))
+        for name in categorical
+        if draw(st.booleans())
+    ]
+    items += [
+        NumericItem(name, draw(_interval()))
+        for name in numeric
+        if draw(st.booleans())
+    ]
+    return Itemset(items)
+
+
+@st.composite
+def _near(draw, itemset):
+    """Some of ``itemset``'s items, each kept or redrawn: an itemset
+    that often subsumes ``itemset``, and often only just fails to."""
+    items = []
+    for item in itemset:
+        if not draw(st.booleans()):
+            continue
+        if draw(st.booleans()):
+            items.append(item)
+        elif isinstance(item, NumericItem):
+            items.append(NumericItem(item.attribute, draw(_interval())))
+        else:
+            items.append(
+                CategoricalItem(
+                    item.attribute, draw(st.sampled_from(["u", "v"]))
+                )
+            )
+    return Itemset(items)
+
+
+@st.composite
+def pure_space_batches(draw):
+    """Candidates, pure itemsets near them, and the alive rows.  The
+    candidates are itemsets, or the boxes of one SDAD-CS frame: a
+    context over ``a``, ``b`` and ``z`` and sibling boxes over a shared
+    set of axes from ``x`` and ``y``."""
+    phase = draw(st.sampled_from([PHASE_ITEMSET, PHASE_SPACE]))
+    n = draw(st.integers(1, 6))
+    spaces = context = None
+    if phase == PHASE_ITEMSET:
+        candidates = [draw(_itemset()) for _ in range(n)]
+        keys = candidates
+    else:
+        context = draw(_itemset(numeric=("z",)))
+        axes = draw(
+            st.lists(
+                st.sampled_from(["x", "y"]), min_size=1, max_size=2,
+                unique=True,
+            )
+        )
+        spaces = [
+            Space(
+                {axis: draw(_interval()) for axis in axes},
+                np.zeros(1, dtype=bool),
+                np.zeros(2, dtype=np.int64),
+                {},
+            )
+            for _ in range(n)
+        ]
+        candidates = [space.itemset_with(context) for space in spaces]
+        keys = [(context, space.key()) for space in spaces]
+    known = draw(
+        st.lists(
+            st.one_of(_itemset(), st.sampled_from(candidates).flatmap(_near)),
+            max_size=4,
+        )
+    )
+    batch = EvaluationBatch(
+        keys=keys,
+        config=MinerConfig(),
+        alpha=0.05,
+        phase=phase,
+        known_pure=known,
+        spaces=spaces,
+        categorical=context,
+    )
+    alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return batch, candidates, known, np.flatnonzero(alive)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=pure_space_batches())
+def test_pure_space_batch_matches_subsumption(data):
+    batch, candidates, known, idx = data
+    expected = [
+        any(
+            len(candidates[i]) > len(pure)
+            and pure.region_subsumes(candidates[i])
+            for pure in known
+        )
+        for i in idx
+    ]
+    rule = PureSpaceRule()
+    # the second call replays the space phase's per-run memo
+    for _ in range(2):
+        assert rule.check_batch(batch, idx).tolist() == expected

@@ -1,4 +1,4 @@
-"""Tests for the shared pruning pipeline (EvaluationContext + PruneRule +
+"""Tests for the shared pruning pipeline (EvaluationBatch + PruneRule +
 PruningPipeline), the one candidate lifecycle every miner routes through."""
 
 import numpy as np
@@ -10,14 +10,16 @@ from repro.core.contrast import ContrastPattern
 from repro.core.instrumentation import MiningStats
 from repro.core.items import CategoricalItem, Itemset
 from repro.core.pipeline import (
+    PHASE_SPACE,
     EvaluationBatch,
-    EvaluationContext,
     OptimisticChiSquareRule,
+    PruneRule,
     PruningPipeline,
     default_rules,
     format_prune_report,
 )
 from repro.core.pruning import PruneReason, PruneTable
+from repro.core.sdad import sdad_cs
 from repro.counting import MaskBackend
 
 
@@ -32,17 +34,15 @@ def make_pattern(counts, group_sizes=(100, 100), attrs=("a",)):
     )
 
 
-def make_ctx(pattern=None, config=None, alpha=0.05, **kwargs):
-    config = config or MinerConfig()
-    itemset = kwargs.pop(
-        "itemset", pattern.itemset if pattern is not None else Itemset()
-    )
-    return EvaluationContext(
-        key=itemset,
-        config=config,
+def make_batch(*patterns, config=None, alpha=0.05, keys=None, **kwargs):
+    """One batch over ``patterns``, keyed by their itemsets unless
+    ``keys`` are given."""
+    return EvaluationBatch(
+        keys=keys if keys is not None else [p.itemset for p in patterns],
+        config=config or MinerConfig(),
         alpha=alpha,
-        itemset=itemset,
-        pattern=pattern,
+        counts=[p.counts for p in patterns],
+        group_sizes=patterns[0].group_sizes,
         **kwargs,
     )
 
@@ -89,9 +89,8 @@ class TestEvaluate:
     def test_prune_records_reason_table_and_stats(self):
         pipeline = PruningPipeline(MinerConfig(delta=0.1))
         pattern = make_pattern((1, 1))  # supports 0.01 -> min deviation
-        decision = pipeline.evaluate(make_ctx(pattern))
-        assert decision.pruned
-        assert decision.reason is PruneReason.MIN_DEVIATION
+        keep = pipeline.evaluate_batch(make_batch(pattern))
+        assert keep.tolist() == [False]
         assert (
             pipeline.prune_table.reason_for(pattern.itemset)
             is PruneReason.MIN_DEVIATION
@@ -103,14 +102,17 @@ class TestEvaluate:
 
     def test_empty_rule_fires_first(self):
         pipeline = PruningPipeline(MinerConfig())
-        decision = pipeline.evaluate(make_ctx(make_pattern((0, 0))))
-        assert decision.reason is PruneReason.EMPTY
+        pattern = make_pattern((0, 0))
+        pipeline.evaluate_batch(make_batch(pattern))
+        assert (
+            pipeline.prune_table.reason_for(pattern.itemset)
+            is PruneReason.EMPTY
+        )
 
     def test_survivor_keeps(self):
         pipeline = PruningPipeline(MinerConfig(delta=0.1))
-        pattern = make_pattern((90, 10))
-        decision = pipeline.evaluate(make_ctx(pattern))
-        assert not decision.pruned
+        keep = pipeline.evaluate_batch(make_batch(make_pattern((90, 10))))
+        assert keep.tolist() == [True]
         assert len(pipeline.prune_table) == 0
         checks = {
             name: record.checks
@@ -123,9 +125,13 @@ class TestEvaluate:
         pipeline = PruningPipeline(MinerConfig())
         pattern = make_pattern((90, 10), attrs=("a", "b"))
         subset = make_pattern((90, 10), attrs=("a",))
-        ctx = make_ctx(pattern, subset_patterns=(subset,))
-        decision = pipeline.evaluate(ctx)
-        assert decision.reason is PruneReason.REDUNDANT
+        pipeline.evaluate_batch(
+            make_batch(pattern, subset_patterns={subset.itemset: subset})
+        )
+        assert (
+            pipeline.prune_table.reason_for(pattern.itemset)
+            is PruneReason.REDUNDANT
+        )
 
     def test_pure_space_rule_uses_known_pure(self):
         """The pattern-free pass cuts a candidate inside a known pure
@@ -140,11 +146,6 @@ class TestEvaluate:
             config=pipeline.config,
             alpha=0.05,
             known_pure=(pure,),
-            context_factory=lambda i: make_ctx(
-                make_pattern((90, 10)),
-                itemset=candidate,
-                known_pure=(pure,),
-            ),
         )
         keep = pipeline.evaluate_batch(batch, pattern_free_only=True)
         assert not keep[0]
@@ -160,13 +161,18 @@ class TestEvaluate:
         categorical chi-square bound."""
         pipeline = PruningPipeline(MinerConfig())
         pattern = make_pattern((30, 30))  # bound 35.3 < critical(1e-12)
-        itemset_ctx = make_ctx(pattern, alpha=1e-12)
+        assert not pipeline.evaluate_batch(
+            make_batch(pattern, alpha=1e-12)
+        )[0]
         assert (
-            pipeline.evaluate(itemset_ctx).reason
+            pipeline.prune_table.reason_for(pattern.itemset)
             is PruneReason.OPTIMISTIC_ESTIMATE
         )
-        space_ctx = make_ctx(pattern, alpha=1e-12, phase="space")
-        assert pipeline.evaluate(space_ctx).reason is None
+        space = make_batch(
+            pattern, alpha=1e-12, keys=["space"], phase=PHASE_SPACE
+        )
+        assert pipeline.evaluate_batch(space)[0]
+        assert pipeline.rule_stats["optimistic"].checks == 1
 
     def test_seen_counts_table_hit(self):
         pipeline = PruningPipeline(MinerConfig())
@@ -178,55 +184,65 @@ class TestEvaluate:
 
 
 class TestLaziness:
+    """A space-phase batch builds a frame's parent pattern only when the
+    redundancy rule reaches one of that frame's rows, and then once."""
+
+    @staticmethod
+    def frames_batch(counts, frames):
+        """A space batch over ``counts`` rows whose frames are
+        ``(rows, parent factory)`` pairs."""
+        return make_batch(
+            *(make_pattern(row) for row in counts),
+            keys=[("space", i) for i in range(len(counts))],
+            phase=PHASE_SPACE,
+            shared_subset_groups=frames,
+        )
+
     def test_pattern_factory_not_called_unless_needed(self):
         calls = []
 
-        def factory():
+        def parent():
             calls.append(1)
-            return make_pattern((1, 1))
+            return make_pattern((90, 10))
 
         pipeline = PruningPipeline(MinerConfig())
-        ctx = EvaluationContext(
-            key="k",
-            config=MinerConfig(),
-            alpha=0.05,
-            phase="space",
-            counts=(1, 1),
-            group_sizes=(100, 100),
-            total_count=2,
-            itemset_factory=lambda: Itemset(),
-            pattern_factory=factory,
-            subset_patterns=(),
+        batch = self.frames_batch(
+            [(1, 1), (2, 1)], [(np.arange(2), parent)]
         )
-        decision = pipeline.evaluate(ctx)
-        # pruned by min deviation on raw counts: the pattern (and its
-        # itemset stripping) was never materialised
-        assert decision.reason is PruneReason.MIN_DEVIATION
+        keep = pipeline.evaluate_batch(batch)
+        # both rows fell to min deviation on raw counts: the parent
+        # pattern was never materialised
+        assert keep.tolist() == [False, False]
+        assert pipeline.rule_stats["redundant"].checks == 0
         assert calls == []
 
     def test_pattern_factory_called_once(self):
-        calls = []
-        pattern = make_pattern((90, 10))
+        calls = {"dead": 0, "alive": 0}
 
-        def factory():
-            calls.append(1)
-            return pattern
+        def parent(frame):
+            def build():
+                calls[frame] += 1
+                return make_pattern((50, 50))
 
-        ctx = EvaluationContext(
-            key="k",
-            config=MinerConfig(),
-            alpha=0.05,
-            pattern_factory=factory,
+            return build
+
+        pipeline = PruningPipeline(MinerConfig())
+        batch = self.frames_batch(
+            [(1, 1), (90, 10), (80, 5)],
+            [
+                (np.array([0]), parent("dead")),
+                (np.array([1, 2]), parent("alive")),
+            ],
         )
-        assert ctx.pattern is pattern
-        assert ctx.pattern is pattern
-        assert calls == [1]
+        pipeline.evaluate_batch(batch)
+        assert pipeline.rule_stats["redundant"].checks == 2
+        assert calls == {"dead": 0, "alive": 1}
 
 
 class TestPublish:
     def test_publish_folds_rule_stats_and_reasons(self):
         pipeline = PruningPipeline(MinerConfig())
-        pipeline.evaluate(make_ctx(make_pattern((1, 1))))
+        pipeline.evaluate_batch(make_batch(make_pattern((1, 1))))
         stats = pipeline.stats
         pipeline.publish()
         assert stats.prune_rule_hits["min_deviation"] == 1
@@ -237,27 +253,38 @@ class TestPublish:
         """A second publish adds nothing; work between publishes adds
         only the delta (the parallel workers' per-task semantics)."""
         pipeline = PruningPipeline(MinerConfig())
-        pipeline.evaluate(make_ctx(make_pattern((1, 1), attrs=("a",))))
+        pipeline.evaluate_batch(
+            make_batch(make_pattern((1, 1), attrs=("a",)))
+        )
         first = MiningStats()
         pipeline.publish(first)
         again = MiningStats()
         pipeline.publish(again)
         assert again.prune_rule_hits.get("min_deviation", 0) == 0
         assert again.prune_reasons == {}
-        pipeline.evaluate(make_ctx(make_pattern((1, 1), attrs=("b",))))
+        pipeline.evaluate_batch(
+            make_batch(make_pattern((1, 1), attrs=("b",)))
+        )
         second = MiningStats()
         pipeline.publish(second)
         assert second.prune_rule_hits["min_deviation"] == 1
         assert second.prune_reasons == {"MIN_DEVIATION": 1}
 
-    def test_check_gate_counts_without_recording(self):
+    def test_gate_batch_counts_without_recording(self):
         pipeline = PruningPipeline(MinerConfig())
         gate = OptimisticChiSquareRule()
-        ctx = make_ctx(make_pattern((6, 6)), alpha=1e-12)
-        assert pipeline.check_gate(gate, ctx)
+        batch = make_batch(
+            make_pattern((6, 6)), make_pattern((60, 5)), alpha=1e-12
+        )
+        # no candidate reached the gate: no record at all
+        assert pipeline.gate_batch(gate, batch, np.arange(0)).size == 0
+        assert "optimistic(gate)" not in pipeline.rule_stats
+        hits = pipeline.gate_batch(gate, batch, np.arange(2))
+        assert hits.tolist() == [True, False]
         assert len(pipeline.prune_table) == 0
         assert pipeline.stats.spaces_pruned == 0
-        assert pipeline.rule_stats["optimistic(gate)"].hits == 1
+        record = pipeline.rule_stats["optimistic(gate)"]
+        assert (record.checks, record.hits) == (2, 1)
 
 
 class TestPruneTableMerge:
@@ -376,7 +403,7 @@ class TestProcessCategoricalCandidate:
 class TestReport:
     def test_format_prune_report_lists_rules(self):
         pipeline = PruningPipeline(MinerConfig())
-        pipeline.evaluate(make_ctx(make_pattern((1, 1))))
+        pipeline.evaluate_batch(make_batch(make_pattern((1, 1))))
         pipeline.publish()
         report = format_prune_report(pipeline.stats)
         assert "min_deviation" in report
@@ -396,3 +423,47 @@ class TestReport:
             summary.prune_rule_checks.values()
         )
         assert result.explain_prunes().startswith("Pruning pipeline")
+
+
+class SmallSpaceRule(PruneRule):
+    """A third-party rule written against the batch protocol alone: cut
+    every candidate covering fewer than ``MIN_ROWS`` rows."""
+
+    MIN_ROWS = 150
+    name = "small_space"
+    reason = PruneReason.EXPECTED_COUNT
+
+    def check_batch(self, batch, idx):
+        return batch.totals[idx] < self.MIN_ROWS
+
+
+class TestRuleProtocol:
+    def test_batch_only_rule_runs_inside_sdad(self, mixed_dataset):
+        config = MinerConfig()
+        pipeline = PruningPipeline(config, rules=(SmallSpaceRule(),))
+        result = sdad_cs(
+            mixed_dataset, Itemset(), ["x"], config, pipeline=pipeline
+        )
+        record = pipeline.rule_stats["small_space"]
+        assert record.hits > 0
+        assert record.checks > record.hits
+        assert pipeline.prune_table.reason_counts() == {
+            PruneReason.EXPECTED_COUNT: record.hits
+        }
+        pipeline.publish()
+        assert pipeline.stats.prune_rule_hits == {"small_space": record.hits}
+        assert pipeline.stats.prune_reasons == {
+            "EXPECTED_COUNT": record.hits
+        }
+        assert result.patterns
+        assert all(
+            p.total_count >= SmallSpaceRule.MIN_ROWS for p in result.patterns
+        )
+
+    def test_rule_without_check_batch_raises(self):
+        class Bare(PruneRule):
+            name = "bare"
+
+        pipeline = PruningPipeline(MinerConfig(), rules=(Bare(),))
+        with pytest.raises(NotImplementedError, match="Bare"):
+            pipeline.evaluate_batch(make_batch(make_pattern((90, 10))))

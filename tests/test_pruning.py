@@ -5,7 +5,6 @@ import pytest
 from repro.core.contrast import ContrastPattern
 from repro.core.items import CategoricalItem, Itemset
 from repro.core.pruning import (
-    PruneDecision,
     PruneReason,
     PruneTable,
     expected_count_prunes,
@@ -127,14 +126,3 @@ class TestPruneTable:
         counts = table.reason_counts()
         assert counts[PruneReason.EMPTY] == 2
         assert counts[PruneReason.PURE_SPACE] == 1
-
-
-class TestPruneDecision:
-    def test_keep(self):
-        decision = PruneDecision.keep()
-        assert not decision.pruned and decision.reason is None
-
-    def test_drop(self):
-        decision = PruneDecision.drop(PruneReason.REDUNDANT)
-        assert decision.pruned
-        assert decision.reason is PruneReason.REDUNDANT
