@@ -15,18 +15,30 @@ A contrast pattern is *meaningful* when it is
 These checks are applied as a post-filter by
 :class:`~repro.core.miner.ContrastSetMiner` and are counted standalone for
 the Table 6 census by :func:`classify_patterns`.
+
+Every count runs on packed covers (DESIGN.md §15).  A classification
+reads each attribute its patterns name once, chunk by chunk, and packs
+one cover per distinct item from that read.  A pattern, a leave-one-out
+subset or a partition side is the AND of its items' covers, an
+independence residual is ``a & ~b`` per chunk segment, and each is
+counted by the dataset's counting backend: a packed AND + popcount
+against its group stacks.  No dense row mask or ``int64`` group column
+is built, so an out-of-core view keeps its O(chunk) working set.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..dataset.table import Dataset
-from .contrast import ContrastPattern, evaluate_itemset
-from .items import Itemset
+from .contrast import ContrastPattern
+from .cover import Cover
+from .items import CategoricalItem, Item, Itemset
+from .partition import _iter_chunk_columns
 from .pruning import redundant_against_subset
 from .stats import chi_square_independence, contingency_from_counts
 
@@ -40,21 +52,79 @@ __all__ = [
 ]
 
 
-#: Counts-only patterns by itemset, shared by every filter of one
-#: :func:`classify_patterns` call so each distinct itemset (a pattern, a
-#: leave-one-out subset, a partition side) is counted once.  It holds
-#: counts, never covers: a dense cover per itemset would cost a mask of
-#: ``n_rows`` bytes each.
-_Memo = dict[Itemset, ContrastPattern]
+def _item_predicate(
+    item: Item, dataset: Dataset
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Membership of ``item`` over values of its column, as
+    ``item.cover(dataset)`` tests the whole column."""
+    if isinstance(item, CategoricalItem):
+        code = dataset.attribute(item.attribute).code_of(item.value)
+        return lambda values: values == code
+    return item.interval.cover
 
 
-def _evaluate(
-    itemset: Itemset, dataset: Dataset, memo: _Memo
-) -> ContrastPattern:
-    pattern = memo.get(itemset)
-    if pattern is None:
-        pattern = memo[itemset] = evaluate_itemset(itemset, dataset)
-    return pattern
+class _PackedCovers:
+    """Packed item covers of one classification, and the counts of the
+    itemsets built from them.
+
+    Each attribute the itemsets name is read once, chunk by chunk,
+    through the split's column reader (:func:`~repro.core.partition.
+    _iter_chunk_columns`: a chunked view's resident column up to
+    ``MEDIAN_GATHER_BUDGET`` rows, its chunk files above), and every
+    item over it is packed from that one read.  Counts are memoized per
+    itemset, so each distinct itemset (a pattern, a leave-one-out
+    subset, a partition side) is counted once; the memo holds counts,
+    never covers.
+    """
+
+    def __init__(self, dataset: Dataset, itemsets: Iterable[Itemset]) -> None:
+        # imported lazily: repro.counting imports this package
+        from ..counting import backend_for
+
+        self.dataset = dataset
+        self.backend = backend_for(dataset)
+        by_attribute: dict[str, dict[Item, None]] = {}
+        for itemset in itemsets:
+            for item in itemset:
+                by_attribute.setdefault(item.attribute, {})[item] = None
+        self._items: dict[Item, list[np.ndarray]] = {}
+        for name, items in by_attribute.items():
+            predicates = [_item_predicate(item, dataset) for item in items]
+            packed = [self._items.setdefault(item, []) for item in items]
+            for values in _iter_chunk_columns(dataset, name):
+                for predicate, segments in zip(predicates, packed):
+                    segments.append(np.packbits(predicate(values)))
+        self._counts: dict[Itemset, ContrastPattern] = {}
+
+    def cover(self, itemset: Itemset) -> Cover:
+        """The itemset's packed cover: the AND of its items' covers."""
+        sizes = self.backend.chunk_sizes
+        if not itemset:
+            return Cover.full(sizes)
+        per_item = [self._items[item] for item in itemset]
+        return Cover(
+            [functools.reduce(np.bitwise_and, chunk)
+             for chunk in zip(*per_item)],
+            sizes,
+        )
+
+    def pattern(self, itemset: Itemset, cover: Cover) -> ContrastPattern:
+        """``itemset`` with the per-group counts inside ``cover``."""
+        counts = self.backend.cover_group_counts(cover)
+        return ContrastPattern(
+            itemset=itemset,
+            counts=tuple(int(c) for c in counts),
+            group_sizes=self.dataset.group_sizes,
+            group_labels=self.dataset.group_labels,
+        )
+
+    def evaluate(self, itemset: Itemset) -> ContrastPattern:
+        pattern = self._counts.get(itemset)
+        if pattern is None:
+            pattern = self._counts[itemset] = self.pattern(
+                itemset, self.cover(itemset)
+            )
+        return pattern
 
 
 def _immediate_subsets(itemset: Itemset) -> list[Itemset]:
@@ -74,16 +144,18 @@ def is_redundant(
     specialised item adds nothing (e.g. *pregnant & female* vs
     *pregnant*).  Level-1 patterns are never redundant.
     """
-    return _is_redundant(pattern, dataset, alpha, {})
+    return _is_redundant(
+        pattern, alpha, _PackedCovers(dataset, [pattern.itemset])
+    )
 
 
 def _is_redundant(
-    pattern: ContrastPattern, dataset: Dataset, alpha: float, memo: _Memo
+    pattern: ContrastPattern, alpha: float, covers: _PackedCovers
 ) -> bool:
     if len(pattern.itemset) <= 1:
         return False
     for subset in _immediate_subsets(pattern.itemset):
-        sub_pattern = _evaluate(subset, dataset, memo)
+        sub_pattern = covers.evaluate(subset)
         if redundant_against_subset(pattern, sub_pattern, alpha):
             return True
     return False
@@ -108,11 +180,13 @@ def is_productive(
 
     Level-1 patterns are productive by definition.
     """
-    return _is_productive(pattern, dataset, alpha, {})
+    return _is_productive(
+        pattern, alpha, _PackedCovers(dataset, [pattern.itemset])
+    )
 
 
 def _is_productive(
-    pattern: ContrastPattern, dataset: Dataset, alpha: float, memo: _Memo
+    pattern: ContrastPattern, alpha: float, covers: _PackedCovers
 ) -> bool:
     itemset = pattern.itemset
     if len(itemset) <= 1:
@@ -129,10 +203,10 @@ def _is_productive(
         x, y = y, x
     diff_c = supports[x] - supports[y]
 
-    n_x = dataset.group_sizes[x]
+    n_x = covers.dataset.group_sizes[x]
     for part_a, part_b in itemset.partitions():
-        pat_a = _evaluate(part_a, dataset, memo)
-        pat_b = _evaluate(part_b, dataset, memo)
+        pat_a = covers.evaluate(part_a)
+        pat_b = covers.evaluate(part_b)
         expected_diff = (
             pat_a.supports[x] * pat_b.supports[x]
             - pat_a.supports[y] * pat_b.supports[y]
@@ -142,7 +216,7 @@ def _is_productive(
         # Significance: association between the parts inside group x.
         # The itemset's cover is the AND of its parts' covers, so the
         # 2x2 table of the parts' coverage in x follows from counts.
-        n_ab = _evaluate(itemset, dataset, memo).counts[x]
+        n_ab = covers.evaluate(itemset).counts[x]
         n_a = pat_a.counts[x]
         n_b = pat_b.counts[x]
         table = np.array(
@@ -182,32 +256,64 @@ def independently_productive_mask(
     flips direction means the original direction came entirely from the
     specialisation's region.
     """
-    covers = [p.itemset.cover(dataset) for p in patterns]
+    patterns = list(patterns)
+    return _independently_productive(
+        patterns, alpha, _PackedCovers(dataset, [p.itemset for p in patterns])
+    )
+
+
+def _independently_productive(
+    patterns: list[ContrastPattern], alpha: float, covers: _PackedCovers
+) -> list[bool]:
+    # Region subsumption needs every attribute of the pattern in its
+    # specialisation, so only patterns over a superset of its attribute
+    # set are tested, in list order.
+    keys = [frozenset(p.itemset.attributes) for p in patterns]
+    by_key: dict[frozenset[str], list[int]] = {}
+    for j, key in enumerate(keys):
+        by_key.setdefault(key, []).append(j)
+    candidates = {
+        key: sorted(j for other, js in by_key.items() if key <= other
+                    for j in js)
+        for key in by_key
+    }
+    pattern_covers: dict[Itemset, Cover] = {}
+
+    def cover_of(itemset: Itemset) -> Cover:
+        cover = pattern_covers.get(itemset)
+        if cover is None:
+            cover = pattern_covers[itemset] = covers.cover(itemset)
+        return cover
+
     flags: list[bool] = []
     for i, pattern in enumerate(patterns):
         ok = True
-        for j, other in enumerate(patterns):
-            if i == j:
-                continue
+        for j in candidates[keys[i]]:
+            other = patterns[j]
             specialises = (
-                pattern.itemset != other.itemset
+                i != j
+                and pattern.itemset != other.itemset
                 and pattern.itemset.region_subsumes(other.itemset)
                 and not other.itemset.region_subsumes(pattern.itemset)
             )
             if not specialises:
                 continue
-            residual = covers[i] & ~covers[j]
-            counts = dataset.group_counts(residual)
-            table = contingency_from_counts(counts, dataset.group_sizes)
-            residual_pattern = ContrastPattern(
-                itemset=pattern.itemset,
-                counts=tuple(int(c) for c in counts),
-                group_sizes=dataset.group_sizes,
-                group_labels=dataset.group_labels,
+            mine = cover_of(pattern.itemset)
+            theirs = cover_of(other.itemset)
+            residual = covers.pattern(
+                pattern.itemset,
+                Cover(
+                    [mine.segment(c) & ~theirs.segment(c)
+                     for c in range(mine.n_chunks)],
+                    mine.chunk_sizes,
+                ),
+            )
+            table = contingency_from_counts(
+                residual.counts, residual.group_sizes
             )
             still_contrast = (
                 chi_square_independence(table).significant_at(alpha)
-                and residual_pattern.dominant_group == pattern.dominant_group
+                and residual.dominant_group == pattern.dominant_group
             )
             if not still_contrast:
                 ok = False
@@ -259,12 +365,10 @@ def classify_patterns(
     independently productive (Table 6's meaningful-vs-meaningless counts).
     """
     patterns = list(patterns)
-    memo: _Memo = {}
-    redundant = [_is_redundant(p, dataset, alpha, memo) for p in patterns]
-    unproductive = [
-        not _is_productive(p, dataset, alpha, memo) for p in patterns
-    ]
-    independent = independently_productive_mask(patterns, dataset, alpha)
+    covers = _PackedCovers(dataset, [p.itemset for p in patterns])
+    redundant = [_is_redundant(p, alpha, covers) for p in patterns]
+    unproductive = [not _is_productive(p, alpha, covers) for p in patterns]
+    independent = _independently_productive(patterns, alpha, covers)
     return MeaningfulnessReport(
         patterns=patterns,
         redundant=redundant,

@@ -107,11 +107,15 @@ class AttributeRange:
 
     Used to normalise interval widths so hyper-volumes of boxes over
     different attributes are comparable (the merge step sorts by volume).
+    ``nan_free`` records that no value of the column is NaN; :meth:`of`
+    sees every value, and :func:`partition_median` then builds a right
+    half as the parent's segment XOR the left half.
     """
 
     attribute: str
     lo: float
     hi: float
+    nan_free: bool = False
 
     @property
     def width(self) -> float:
@@ -132,14 +136,18 @@ class AttributeRange:
         # gathering the full column.
         lo = math.inf
         hi = -math.inf
+        nan_free = True
         for values in _iter_chunk_columns(dataset, attribute):
-            finite = values[~np.isnan(values)] if values.size else values
-            if finite.size:
-                lo = min(lo, float(finite.min()))
-                hi = max(hi, float(finite.max()))
-        if hi < lo:  # no finite values anywhere
-            return AttributeRange(attribute, 0.0, 0.0)
-        return AttributeRange(attribute, lo, hi)
+            nan = np.isnan(values)
+            if nan.any():
+                nan_free = False
+                values = values[~nan]
+            if values.size:
+                lo = min(lo, float(values.min()))
+                hi = max(hi, float(values.max()))
+        if hi < lo:  # no non-NaN values anywhere
+            return AttributeRange(attribute, 0.0, 0.0, nan_free)
+        return AttributeRange(attribute, lo, hi, nan_free)
 
 
 class Space:
@@ -576,12 +584,17 @@ def partition_median(
 
     Each half's segment ``i`` is ``cover.segment(i) &
     np.packbits(interval.cover(column_i))``, where ``column_i`` is the
-    attribute's chunk ``i``, computed as one comparison per half:
-    ``column_i <= split`` for the left and ``column_i > split`` for the
-    right.  That is exact under this function's precondition: every row
-    of ``space.cover`` lies inside ``space``'s interval of ``attribute``
-    or is NaN there, so the halves' other bounds hold on every covered
-    row, and NaN fails both comparisons.  Every space SDAD-CS splits
+    attribute's chunk ``i``, computed as ``column_i <= split`` for the
+    left and ``column_i > split`` for the right.  When the space's
+    :class:`AttributeRange` of ``attribute`` records a column without
+    NaN, every covered row passes exactly one of the two, so the right
+    segment is the parent's segment XOR the left one: one comparison
+    and one pack per chunk instead of two.  A space without a recorded
+    range makes both comparisons.  The halves are exact under this
+    function's precondition: every row of ``space.cover`` lies inside
+    ``space``'s interval of ``attribute`` or is NaN there, so the
+    halves' other bounds hold on every covered row, and NaN fails both
+    comparisons.  Every space SDAD-CS splits
     meets it: a root interval is the attribute's full ``[min, max]``
     over its non-NaN values, ±inf included (:func:`full_space`), a
     child's cover is an AND of its halves' segments, and a merged space
@@ -616,10 +629,16 @@ def partition_median(
     interval = space.intervals[attribute]
     left = Half(Interval(interval.lo, split, interval.lo_closed, True), [])
     right = Half(Interval(split, interval.hi, False, interval.hi_closed), [])
+    rng = space._ranges.get(attribute)
+    nan_free = rng is not None and rng.nan_free
     for i, column in enumerate(_iter_chunk_columns(dataset, attribute)):
         segment = cover.segment(i)
-        left.segments.append(segment & np.packbits(column <= split))
-        right.segments.append(segment & np.packbits(column > split))
+        below = segment & np.packbits(column <= split)
+        left.segments.append(below)
+        right.segments.append(
+            segment ^ below if nan_free
+            else segment & np.packbits(column > split)
+        )
     return left, right
 
 

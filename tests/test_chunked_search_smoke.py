@@ -1,5 +1,6 @@
-"""Chunk-native search-state smoke: pack ~1M rows, mine them in a
-fresh subprocess, and hold its peak RSS under a fixed budget.
+"""Chunk-native search-state smoke: pack ~1M rows, mine them and run
+the meaningfulness filters in a fresh subprocess, and hold its peak RSS
+under a fixed budget, with the filters adding nothing measurable.
 
 Slow-gated (``--runslow``); CI runs it in the dedicated
 ``chunked-search-smoke`` job.  Where ``test_chunked_smoke.py`` pins
@@ -66,16 +67,28 @@ def _chunk(rng: np.random.Generator, n: int) -> Dataset:
     )
 
 
+#: The meaningfulness filters run on packed item covers (DESIGN.md
+#: §15), so they may raise the mine's peak by at most this fraction:
+#: a dense mask or a gathered ``int64`` group column at this scale
+#: is 1-8 MB, several percent of the peak.
+FILTER_PEAK_GROWTH = 0.02
+
 _SUBPROCESS_BODY = """
 import json, resource, sys
 from repro import ChunkedDataset, ContrastSetMiner, MinerConfig
 
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
 store = ChunkedDataset(sys.argv[1])
 result = ContrastSetMiner(MinerConfig(max_tree_depth=2)).mine(store)
-peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+mine_peak_mb = peak_mb()
+report = result.meaningfulness()
 print(json.dumps({
-    "peak_rss_mb": round(peak_mb, 1),
+    "mine_peak_rss_mb": round(mine_peak_mb, 1),
+    "peak_rss_mb": round(peak_mb(), 1),
     "n_patterns": len(result.patterns),
+    "n_meaningful": report.n_meaningful,
 }))
 """
 
@@ -105,7 +118,13 @@ def test_million_row_mine_fits_rss_budget(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["n_patterns"] > 0, "planted contrasts must surface"
+    assert report["n_meaningful"] > 0
     assert report["peak_rss_mb"] < RSS_BUDGET_MB, (
-        f"chunked mine peaked at {report['peak_rss_mb']} MB, "
+        f"chunked mine and filters peaked at {report['peak_rss_mb']} MB, "
         f"budget is {RSS_BUDGET_MB} MB"
+    )
+    limit = report["mine_peak_rss_mb"] * (1 + FILTER_PEAK_GROWTH)
+    assert report["peak_rss_mb"] <= limit, (
+        f"the filters raised the peak from {report['mine_peak_rss_mb']} "
+        f"to {report['peak_rss_mb']} MB (limit {limit:.1f} MB)"
     )

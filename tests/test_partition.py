@@ -49,6 +49,13 @@ class TestAttributeRange:
         ds = _dataset()
         rng = AttributeRange.of(ds, "x")
         assert rng.lo == 0.0 and rng.hi == 1.0
+        assert rng.nan_free
+
+    def test_of_records_nan(self):
+        ds = _dataset(x=np.array([np.nan, 2.0, np.nan, -1.0]))
+        rng = AttributeRange.of(ds, "x")
+        assert (rng.lo, rng.hi, rng.nan_free) == (-1.0, 2.0, False)
+        assert not AttributeRange("x", 0.0, 1.0).nan_free
 
     def test_normalised_width(self):
         rng = AttributeRange("x", 0.0, 10.0)
@@ -606,13 +613,14 @@ def _chunked_column(draw):
     return chunks, np.asarray(masks, dtype=bool)
 
 
-def _check_split(chunks, space):
+def _check_split(chunks, space, split_points=None):
     """Split ``space`` of the column ``chunks`` and check it against the
     reference: the split point has the bytes of np.median's (or of the
     heavy-ties fallback's) plus 0.0, a midpoint no interval can end at
     raises what ``Interval`` raises, and each half's segment ``i`` is
     ``cover.segment(i) & np.packbits(half.interval.cover(chunk_i))``.
-    Returns the halves (``None`` when unsplittable or refused)."""
+    ``split_points`` is passed on as the split-point memo.  Returns the
+    halves (``None`` when unsplittable or refused)."""
     values = np.concatenate([np.asarray(c, dtype=np.float64) for c in chunks])
     cover = space.cover
     with np.errstate(invalid="ignore", over="ignore"):
@@ -626,10 +634,15 @@ def _check_split(chunks, space):
             # the two middle values are -inf and +inf (a NaN mean)
             with np.errstate(invalid="ignore", over="ignore"):
                 with pytest.raises(ValueError, match=re.escape(str(refused))):
-                    partition_median(_FakeChunkedColumn(chunks), space, "x")
+                    partition_median(
+                        _FakeChunkedColumn(chunks), space, "x",
+                        split_points=split_points,
+                    )
             return None
     with np.errstate(invalid="ignore", over="ignore"):
-        halves = partition_median(_FakeChunkedColumn(chunks), space, "x")
+        halves = partition_median(
+            _FakeChunkedColumn(chunks), space, "x", split_points=split_points
+        )
     if expected is None:
         assert halves is None
         return None
@@ -648,33 +661,45 @@ def _check_split(chunks, space):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_chunked_column(), st.booleans())
-@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), False)
-@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), True)
+@given(_chunked_column(), st.booleans(), st.booleans())
+@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), False, False)
+@example(([[-0.0, -0.0], [-0.0, 1.0]], np.ones(4, dtype=bool)), True, True)
 # a chunk whose window median is the NaN mean of -inf and +inf
 @example(([[], [math.inf, math.inf, -math.inf, -math.inf]],
-          np.ones(4, dtype=bool)), True)
+          np.ones(4, dtype=bool)), True, True)
 # the right half's middles sum past -max: it splits at half of each
 # middle, summed, inside its interval
 @example(([[-1.7e308, -1.6e308, -1.5e308, -1.4e308],
            [-1.0e308, -0.99e308, -0.95e308, -0.9e308, 5.0]],
-          np.ones(9, dtype=bool)), False)
-def test_partition_median_split_point_matches_reference_bytes(column, stream):
+          np.ones(9, dtype=bool)), False, True)
+# a covered NaN is in neither half, so its right half is a comparison
+@example(([[1.0, math.nan, 2.0], [3.0, 4.0]], np.ones(5, dtype=bool)),
+         False, True)
+def test_partition_median_split_point_matches_reference_bytes(
+    column, stream, ranged
+):
     """partition_median's split point has the bytes of np.median's (or
     of the heavy-ties fallback's) plus 0.0, and each half's cover is the
     parent's bits inside its interval, chunk by chunk, on the gather
-    path and on the streaming path alike: at the root, and again when
-    each half of the root is split in turn."""
+    path and on the streaming path alike: at the root, again through
+    the root's split-point memo, and again when each half of the root
+    is split in turn.  With ``ranged`` the spaces carry the column's
+    :class:`AttributeRange`, so a column without NaN builds each right
+    half as the parent's segment XOR the left."""
     from repro.core import partition as part
 
     chunks, mask = column
     sizes = tuple(len(c) for c in chunks)
     cover = Cover.from_dense(mask, sizes)
+    ranges = (
+        {"x": AttributeRange.of(_FakeChunkedColumn(chunks), "x")}
+        if ranged else {}
+    )
     root = Space(
         {"x": Interval(-math.inf, math.inf, True, True)},
         cover,
         np.array([cover.count()], dtype=np.int64),
-        {},
+        ranges,
     )
     budget, fallback = part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK
     if stream:
@@ -682,14 +707,16 @@ def test_partition_median_split_point_matches_reference_bytes(column, stream):
         # chunk, and make the pivot loop narrow
         part.MEDIAN_GATHER_BUDGET, part._STREAM_GATHER_FALLBACK = 0, 2
     try:
-        halves = _check_split(chunks, root)
+        memo: dict = {}
+        halves = _check_split(chunks, root, memo)
+        _check_split(chunks, root, memo)
         for half in halves or ():
             child_cover = Cover(half.segments, sizes)
             child = Space(
                 {"x": half.interval},
                 child_cover,
                 np.array([child_cover.count()], dtype=np.int64),
-                {},
+                ranges,
             )
             _check_split(chunks, child)
     finally:
