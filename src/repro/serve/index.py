@@ -90,6 +90,11 @@ class PatternIndex:
             )
             for i, p in enumerate(patterns)
         )
+        self.rank_texts: tuple[str, ...] = tuple(
+            map(str, range(len(self.entries)))
+        )
+        """Each rank as its JSON text, so rendering a rank list converts
+        no ints."""
         by_attribute: dict[str, list[int]] = {}
         by_group: dict[str, list[int]] = {}
         for entry in self.entries:
