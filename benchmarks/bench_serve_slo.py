@@ -1,9 +1,9 @@
 """Sustained-load SLO harness for the serving layer (owns BENCH_serve.json).
 
-Where ``bench_serve_throughput.py`` asks "how fast can a closed loop of
-clients drain the server?", this harness asks the production question:
-*does the server hold its latency SLO under a fixed offered load, while
-new runs are being published underneath it?*  Methodology:
+Besides asking "how fast can a closed loop of clients drain the
+server?", this harness asks the production question: *does the server
+hold its latency SLO under a fixed offered load, while new runs are
+being published underneath it?*  Methodology:
 
 * **Open-loop arrivals.**  Requests are scheduled on a fixed cadence
   derived from the target rate, and every latency is measured from the
@@ -21,8 +21,10 @@ new runs are being published underneath it?*  Methodology:
 
 Reported per phase: achieved rows/s vs target, p50/p99 (scheduled-send
 based), jitter (p99 − p50), error rate, hot swaps absorbed.  The
-``throughput`` section additionally reports closed-loop batch ceilings
-and the speedup over the committed v1 single-row baseline.
+``throughput`` section additionally reports closed-loop batch ceilings,
+the speedup over the committed v1 single-row baseline, and the
+closed-loop ceiling of ``GET /runs/<id>/patterns`` queries answered from
+a warm query cache by a one-process server (``patterns_rps``).
 
 Run standalone:  PYTHONPATH=src python benchmarks/bench_serve_slo.py
 Standalone runs refresh the committed ``BENCH_serve.json`` (schema v2,
@@ -52,6 +54,18 @@ from repro.serve.index import row_from_dataset
 
 V1_BASELINE_MATCH_RPS = 1054
 """Single-row closed-loop req/s committed before the vectorized plan."""
+
+PATTERN_QUERY_SHAPES = (
+    "",
+    "limit=5",
+    "min_diff=0.1&limit=10",
+    "sort=purity_ratio&limit=5",
+    "min_pr=0.3&sort=support_difference",
+)
+"""``GET /runs/<id>/patterns`` query strings of the patterns ceiling."""
+
+PATTERNS_CACHE_SIZE = 256
+"""Query-cache entries of the patterns ceiling's server."""
 
 
 @dataclass
@@ -113,8 +127,13 @@ class _SwapWriter(threading.Thread):
         self.join()
 
 
-def _closed_loop(host, port, payloads, n_requests, n_threads):
-    """Hammer keep-alive connections; return (latencies, elapsed, rows)."""
+def _closed_loop(host, port, payloads, n_requests, n_threads,
+                 method="POST"):
+    """Hammer keep-alive connections; return (latencies, elapsed, rows).
+
+    Each payload is ``(target, n_rows)``: a body POSTed to ``/match``,
+    or with ``method="GET"`` a path to GET.
+    """
     latencies: list[list[float]] = [[] for _ in range(n_threads)]
     rows_done = [0] * n_threads
     errors: list = []
@@ -124,9 +143,12 @@ def _closed_loop(host, port, payloads, n_requests, n_threads):
         conn = http.client.HTTPConnection(host, port, timeout=30)
         try:
             for i in range(per_thread):
-                body, n_rows = payloads[(slot + i) % len(payloads)]
+                target, n_rows = payloads[(slot + i) % len(payloads)]
                 started = perf_counter()
-                conn.request("POST", "/match", body=body)
+                if method == "GET":
+                    conn.request("GET", target)
+                else:
+                    conn.request("POST", "/match", body=target)
                 response = conn.getresponse()
                 response.read()
                 latencies[slot].append(perf_counter() - started)
@@ -230,6 +252,33 @@ def _open_loop_phase(
     }
 
 
+def _patterns_ceiling(store, run_id, config: SLOBenchConfig):
+    """Closed-loop ``GET /runs/<run_id>/patterns`` ceiling of a
+    one-process server whose query cache every shape has warmed;
+    returns (latencies, elapsed)."""
+    server = PatternServer(
+        store, ServeConfig(port=0, cache_size=PATTERNS_CACHE_SIZE)
+    )
+    server.publish_run(run_id)
+    host, port = server.start()
+    try:
+        queries = [
+            (f"/runs/{run_id}/patterns?{shape}".rstrip("?"), 0)
+            for shape in PATTERN_QUERY_SHAPES
+        ]
+        _closed_loop(  # warm-up: each client sends every shape once
+            host, port, queries, len(queries) * config.n_client_threads,
+            config.n_client_threads, method="GET",
+        )
+        lat, elapsed, _ = _closed_loop(
+            host, port, queries, config.closed_loop_requests,
+            config.n_client_threads, method="GET",
+        )
+    finally:
+        server.stop()
+    return lat, elapsed
+
+
 def run_slo_bench(config: SLOBenchConfig | None = None):
     """Run the full harness; returns (report text, schema-v2 results)."""
     config = config or SLOBenchConfig()
@@ -318,6 +367,11 @@ def run_slo_bench(config: SLOBenchConfig | None = None):
             throughput["speedup_vs_v1"] = round(
                 best_rows_per_s / V1_BASELINE_MATCH_RPS, 1
             )
+            lat, elapsed = _patterns_ceiling(store, run_id, config)
+            throughput["patterns_rps"] = round(len(lat) / elapsed)
+            throughput["patterns_p99_ms"] = round(
+                _percentile(lat, 0.99) * 1e3, 3
+            )
 
             # ---- sustained open-loop SLO phases with live hot swaps ----
             slo_phases = []
@@ -367,6 +421,11 @@ def run_slo_bench(config: SLOBenchConfig | None = None):
         f"  speedup vs v1 single-row baseline "
         f"({V1_BASELINE_MATCH_RPS} req/s): "
         f"{throughput['speedup_vs_v1']}x",
+        "",
+        "closed-loop GET /runs/<id>/patterns, warm query cache "
+        "(one process):",
+        f"  {throughput['patterns_rps']:>8,d} req/s  "
+        f"p99 {throughput['patterns_p99_ms']:8.3f} ms",
         "",
         "open-loop SLO phases (latency from scheduled send; "
         "writer hot-swapping runs throughout):",

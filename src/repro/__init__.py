@@ -33,7 +33,7 @@ from .serve import (
     StoreError,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "MinerConfig",

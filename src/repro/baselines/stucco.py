@@ -32,7 +32,7 @@ from ..core.pipeline import (
     PruningPipeline,
 )
 from ..core.stats import AlphaLadder
-from ..counting import backend_for
+from ..counting import CountingBackend
 from ..dataset.table import Dataset
 
 __all__ = ["StuccoConfig", "StuccoResult", "stucco"]
@@ -108,7 +108,7 @@ def stucco(
         ),
         stats=stats,
     )
-    backend = backend_for(dataset)
+    backend = CountingBackend(dataset)
     sizes = dataset.group_sizes
     labels = dataset.group_labels
 

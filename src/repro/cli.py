@@ -534,15 +534,8 @@ def _cmd_mine(args) -> int:
         f"\n{len(result)} patterns; "
         f"{stats.partitions_evaluated} partitions evaluated, "
         f"{stats.spaces_pruned} pruned, {stats.elapsed_seconds:.2f}s "
-        f"[{stats.counting_backend} backend, "
-        f"{stats.count_calls} count calls"
+        f"[{stats.count_calls} count calls]"
     )
-    if stats.cache_hits or stats.cache_misses:
-        line += (
-            f", cache {stats.cache_hits} hits / "
-            f"{stats.cache_misses} misses"
-        )
-    line += "]"
     if result.n_workers > 1:
         line += f" ({result.n_workers} workers)"
     print(line)

@@ -201,19 +201,12 @@ def evaluate_itemset(
     dataset,
     level: int | None = None,
     hypervolume: float = 1.0,
-    backend=None,
 ) -> ContrastPattern:
-    """Count an itemset's coverage on a dataset and wrap it as a pattern.
-
-    ``backend`` is an optional :class:`repro.counting.CountingBackend`;
-    without one, counting falls back to a fresh boolean mask (equivalent
-    to the mask backend, minus instrumentation).
-    """
-    if backend is not None:
-        counts = tuple(int(c) for c in backend.group_counts(itemset))
-    else:
-        mask = itemset.cover(dataset)
-        counts = tuple(int(c) for c in dataset.group_counts(mask))
+    """Count an itemset's coverage on a dataset, as a boolean mask, and
+    wrap it as a pattern."""
+    counts = tuple(
+        int(c) for c in dataset.group_counts(itemset.cover(dataset))
+    )
     return ContrastPattern(
         itemset=itemset,
         counts=counts,

@@ -32,22 +32,21 @@ class MiningStats:
     candidates_generated: int = 0
     nodes_expanded: int = 0
     elapsed_seconds: float = 0.0
-    counting_backend: str = "mask"
-    """Name of the support-counting backend that produced the counts."""
     count_calls: int = 0
     """Raw backend counting calls (itemset and cover group-counts alike)."""
     cache_hits: int = 0
-    """Per-chunk counts cache hits (chunked backend; 0 for mask)."""
+    """Always 0: the counter keeps no counts cache since 1.9.0.  Kept
+    because ``benchmarks/suite/workloads.py`` reads it."""
     cache_misses: int = 0
-    """Per-chunk counts cache misses (chunked backend; 0 for mask)."""
+    """Always 0, like :attr:`cache_hits`."""
     batch_calls: int = 0
     """``group_counts_batch`` invocations on the counting backend."""
     batched_candidates: int = 0
     """Candidates counted through ``group_counts_batch`` (each also bumps
     ``count_calls``)."""
     batch_fallbacks: int = 0
-    """Batched candidates that fell back to a per-candidate scalar count
-    (backend without a native batch path, or hybrid numeric itemsets)."""
+    """Batched candidates counted one by one on their packed covers
+    (itemsets with a numeric item, or over the table bound)."""
     prune_rule_checks: dict[str, int] = field(default_factory=dict)
     """Per pipeline rule: candidates the rule examined."""
     prune_rule_hits: dict[str, int] = field(default_factory=dict)
@@ -82,12 +81,6 @@ class MiningStats:
     resumed_from_level: int = 0
     """Deepest completed level restored from a checkpoint (0 = fresh run)."""
 
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of context-cache lookups served from cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def merge_from(self, other: "MiningStats") -> None:
         """Accumulate counters from a sub-run (used by the parallel driver)."""
         self.partitions_evaluated += other.partitions_evaluated
@@ -97,8 +90,6 @@ class MiningStats:
         self.candidates_generated += other.candidates_generated
         self.nodes_expanded += other.nodes_expanded
         self.count_calls += other.count_calls
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
         self.batch_calls += other.batch_calls
         self.batched_candidates += other.batched_candidates
         self.batch_fallbacks += other.batch_fallbacks
@@ -129,8 +120,7 @@ class MiningStats:
         self.serial_fallbacks += other.serial_fallbacks
         self.tasks_failed += other.tasks_failed
         self.checkpoints_written += other.checkpoints_written
-        # Driver-level markers, not additive event counters.
-        self.counting_backend = other.counting_backend
+        # A driver-level marker, not an additive event counter.
         self.resumed_from_level = max(
             self.resumed_from_level, other.resumed_from_level
         )

@@ -79,10 +79,10 @@ class _PackedCovers:
 
     def __init__(self, dataset: Dataset, itemsets: Iterable[Itemset]) -> None:
         # imported lazily: repro.counting imports this package
-        from ..counting import backend_for
+        from ..counting import CountingBackend
 
         self.dataset = dataset
-        self.backend = backend_for(dataset)
+        self.backend = CountingBackend(dataset)
         by_attribute: dict[str, dict[Item, None]] = {}
         for itemset in itemsets:
             for item in itemset:

@@ -47,10 +47,7 @@ class MiningSummary:
     partitions_evaluated: int
     spaces_pruned: int
     elapsed_seconds: float
-    counting_backend: str
     count_calls: int
-    cache_hits: int
-    cache_misses: int
     n_workers: int
     prune_rule_checks: dict[str, int] = field(default_factory=dict)
     """Per pipeline rule: candidates examined (serial and parallel runs
@@ -80,8 +77,8 @@ class MiningSummary:
     """Candidates whose supports were counted through a batched sweep
     (each also bumps ``count_calls``)."""
     batch_fallbacks: int = 0
-    """Batched candidates that fell back to a per-candidate scalar count
-    (backend without a native batch path, or hybrid numeric itemsets)."""
+    """Batched candidates counted one by one on their packed covers
+    (itemsets with a numeric item, or over the table bound)."""
 
 
 @dataclass
@@ -115,10 +112,7 @@ class MiningResult:
             partitions_evaluated=self.stats.partitions_evaluated,
             spaces_pruned=self.stats.spaces_pruned,
             elapsed_seconds=self.stats.elapsed_seconds,
-            counting_backend=self.stats.counting_backend,
             count_calls=self.stats.count_calls,
-            cache_hits=self.stats.cache_hits,
-            cache_misses=self.stats.cache_misses,
             n_workers=self.n_workers,
             prune_rule_checks=dict(self.stats.prune_rule_checks),
             prune_rule_hits=dict(self.stats.prune_rule_hits),

@@ -41,7 +41,6 @@ __all__ = [
     "AttributeRange",
     "Half",
     "Space",
-    "dataset_chunk_sizes",
     "full_space",
     "partition_median",
     "find_combinations",
@@ -71,14 +70,6 @@ _STREAM_GATHER_FALLBACK = 2_097_152
 _STREAM_MAX_PASSES = 64
 
 
-def dataset_chunk_sizes(dataset: Dataset) -> tuple[int, ...]:
-    """Per-chunk row counts of a dataset (``(n_rows,)`` when dense)."""
-    metas = getattr(dataset, "chunk_metas", None)
-    if metas is None:
-        return (dataset.n_rows,)
-    return tuple(m.n_rows for m in metas())
-
-
 def _iter_chunk_columns(dataset: Dataset, name: str) -> Iterator[np.ndarray]:
     """Yield one canonical-dtype value array per chunk, in chunk order.
 
@@ -90,13 +81,12 @@ def _iter_chunk_columns(dataset: Dataset, name: str) -> Iterator[np.ndarray]:
     chunk straight from its memory-mapped file, so no full-length
     column is ever resident here.
     """
-    per_chunk = getattr(dataset, "iter_chunk_columns", None)
-    if per_chunk is not None and dataset.n_rows > MEDIAN_GATHER_BUDGET:
-        yield from per_chunk(name)
+    if dataset.n_rows > MEDIAN_GATHER_BUDGET:
+        yield from dataset.iter_chunk_columns(name)
         return
     column = dataset.column(name)
     offset = 0
-    for size in dataset_chunk_sizes(dataset):
+    for size in dataset.chunk_sizes:
         yield column[offset:offset + size]
         offset += size
 
@@ -241,7 +231,7 @@ def full_space(
     dataset: Dataset,
     attributes: Sequence[str],
     context_cover: Cover | np.ndarray,
-    backend=None,
+    backend,
     *,
     ranges: Mapping[str, AttributeRange] | None = None,
 ) -> Space:
@@ -251,8 +241,8 @@ def full_space(
     covered; all descendant left-open splits inherit correct closure.
     ``context_cover`` is the categorical context's coverage (a dense
     boolean array is accepted and packed along the dataset's chunk
-    boundaries).  ``backend`` optionally routes the group counting
-    through a :class:`repro.counting.CountingBackend`.  ``ranges`` may
+    boundaries), counted by ``backend``, the dataset's
+    :class:`repro.counting.CountingBackend`.  ``ranges`` may
     supply precomputed :class:`AttributeRange` objects (they are a
     whole-column property, so callers running many contexts over the
     same dataset can share one cache); missing attributes are computed
@@ -269,13 +259,9 @@ def full_space(
     ranges = used
     if not isinstance(context_cover, Cover):
         context_cover = Cover.from_dense(
-            np.asarray(context_cover, dtype=bool),
-            dataset_chunk_sizes(dataset),
+            np.asarray(context_cover, dtype=bool), dataset.chunk_sizes
         )
-    if backend is not None:
-        counts = backend.cover_group_counts(context_cover)
-    else:
-        counts = dataset.group_counts(context_cover.to_dense())
+    counts = backend.cover_group_counts(context_cover)
     return Space(intervals, context_cover, counts, ranges)
 
 
@@ -643,10 +629,9 @@ def partition_median(
 
 
 def find_combinations(
-    dataset: Dataset,
     space: Space,
     splits: Mapping[str, tuple[Half, Half]],
-    backend=None,
+    backend,
 ) -> list[Space]:
     """All combinations of the per-attribute halves (``find_combs``).
 
@@ -658,10 +643,9 @@ def find_combinations(
     :func:`partition_median`'s comparisons are ``False`` for NaN, so a
     row missing a split attribute lies in no child (the root space is
     the categorical context's cover, NaN rows included), and they are
-    exact under the precondition that function states.  ``backend``
-    optionally routes the per-space group counting through a
-    :class:`repro.counting.CountingBackend`, which also tallies the
-    children as one batched counting sweep.
+    exact under the precondition that function states.  ``backend``,
+    the dataset's :class:`repro.counting.CountingBackend`, counts each
+    child and tallies the children as one batched counting sweep.
 
     No column is read here: each :class:`Half` already holds the
     parent's bits inside its interval, chunk by chunk (see
@@ -674,9 +658,8 @@ def find_combinations(
     names = [name for name in space.attributes if name in splits]
     combos = list(itertools.product(*(splits[name] for name in names)))
 
-    if backend is not None:
-        backend.batch_calls += 1
-        backend.batched_candidates += len(combos)
+    backend.batch_calls += 1
+    backend.batched_candidates += len(combos)
 
     children: list[Space] = []
     for combo in combos:
@@ -690,12 +673,9 @@ def find_combinations(
         else:  # nothing split: the one child is the parent's box
             segments = [cover.segment(i) for i in range(cover.n_chunks)]
         child_cover = Cover(segments, cover.chunk_sizes)
-        if backend is not None:
-            counts = backend.cover_group_counts(child_cover)
-        else:
-            counts = dataset.group_counts(child_cover.to_dense())
         children.append(
-            Space(intervals, child_cover, counts, space.ranges)
+            Space(intervals, child_cover,
+                  backend.cover_group_counts(child_cover), space.ranges)
         )
     return children
 

@@ -22,7 +22,7 @@ This module makes candidate evaluation first-class:
 * :class:`PruningPipeline` — the ordered, config-driven chain.  It owns
   the prune lookup table and the run's :class:`MiningStats`, counts
   per-rule checks/hits/wall-time, and records every decision, so serial,
-  parallel, and backend-swapped runs produce identical prune accounting.
+  parallel, and out-of-core runs produce identical prune accounting.
 
 The canonical rule order is the one the paper's cost argument implies:
 cheap anti-monotone rules (empty, pure-space, minimum deviation,
@@ -568,7 +568,7 @@ class PruningPipeline:
     :class:`~repro.core.batch.BatchEvaluator`, and STUCCO, one level at a
     time) routes candidates through :meth:`evaluate_batch`, the miners
     after probing :meth:`seen`; that one judge is what guarantees serial,
-    parallel, and backend-swapped runs agree on both patterns and prune
+    parallel, and out-of-core runs agree on both patterns and prune
     accounting.
     """
 

@@ -89,9 +89,9 @@ class _SDADRun:
         self.known_pure = tuple(known_pure)
         if backend is None:
             # imported lazily to avoid a module cycle with repro.counting
-            from ..counting import backend_for
+            from ..counting import CountingBackend
 
-            backend = backend_for(dataset)
+            backend = CountingBackend(dataset)
         self.backend = backend
         self.measure = measures.get(config.interest_measure)
         # Vectorized per-frame driver (DESIGN.md §12).  The outer search
@@ -177,7 +177,7 @@ class _SDADRun:
                 if halves is not None:
                     found[name] = halves
         return [
-            find_combinations(self.dataset, space, found, self.backend)
+            find_combinations(space, found, self.backend)
             if found
             else []
             for space, found in zip(spaces, splits)
@@ -187,9 +187,9 @@ class _SDADRun:
 
     def run(self) -> SDADResult:
         self.stats.sdad_calls += 1
-        # Packed per-chunk coverage of the categorical context; with a
-        # chunked backend the segments are lazy thunks, so chunks are
-        # only touched when the recursion actually reads them.
+        # Packed per-chunk coverage of the categorical context; the
+        # segments are lazy thunks, so chunks are only touched when the
+        # recursion actually reads them.
         context_cover = (
             self.backend.cover_of(self.categorical)
             if len(self.categorical)
@@ -524,8 +524,7 @@ def sdad_cs(
     backend:
         Optional :class:`repro.counting.CountingBackend` that performs all
         support counting (context coverage and per-space group counts);
-        defaults to a fresh one for the dataset's layout
-        (:func:`repro.counting.backend_for`).
+        defaults to a fresh one over ``dataset``.
     evaluator:
         Optional shared :class:`~repro.core.batch.BatchEvaluator` (built
         around the same pipeline and backend) so dataset-level caches

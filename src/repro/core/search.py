@@ -78,9 +78,9 @@ class SearchEngine:
         self.attributes = names
         if backend is None:
             # imported lazily to avoid a module cycle with repro.counting
-            from ..counting import backend_for
+            from ..counting import CountingBackend
 
-            backend = backend_for(dataset)
+            backend = CountingBackend(dataset)
         self.backend = backend
         # The pipeline owns the run's prune table and stats; the aliases
         # below are the stable public attributes tests and callers use.

@@ -1,64 +1,63 @@
-"""The counting-backend protocol — the single documented counting ABC.
+"""One support counter for every data layout.
 
-Every miner in this package reduces to one operation: given an itemset (or
-a packed row cover), produce the per-group covered counts — the
-contingency row of Eq. 1.  A :class:`CountingBackend` encapsulates *how*
-that row is computed, so the search layers (`core.search`, `core.sdad`,
-`parallel.scheduler`) stay agnostic of the representation.  There is one
-counter per data layout (:func:`repro.counting.backend_for`):
+Every miner in this package reduces to one operation: given an itemset
+(or a packed row cover), produce the per-group covered counts — the
+contingency row of Eq. 1.  That row is a sum over row chunks: the row
+of an itemset over the whole table is the element-wise sum of its rows
+over the chunks, and every downstream statistic (chi-square, support
+difference, PR, the CLT bounds) is a function of the summed integer
+counts.  Counting chunk by chunk and summing is therefore *exact*, which
+is what makes out-of-core mining byte-identical to in-memory mining.
 
-* :class:`~repro.counting.mask.MaskBackend` — an in-memory
-  :class:`~repro.dataset.table.Dataset`: boolean masks over numpy
-  columns, batches of purely categorical candidates read from one
-  contingency table per attribute set, and covers counted on packed
-  words;
-* :class:`~repro.counting.chunked.ChunkedBackend` — an out-of-core
-  :class:`~repro.dataset.chunked.ChunkedView`: per-chunk counts, summed.
+:class:`CountingBackend` reaches the data only through the dataset's
+chunk protocol — ``chunk_sizes``, ``chunk(i)`` and
+``chunk_group_codes(i)``.  An in-memory
+:class:`~repro.dataset.table.Dataset` is the one-chunk case (``(n_rows,)``,
+itself and its own group codes); a
+:class:`~repro.dataset.chunked.ChunkedView` answers from its pinned
+chunks, reading each chunk's group codes straight from its group file.
+Two paths count:
 
-The protocol has two counting granularities:
+* a batch's purely categorical itemsets are read from one group-by-itemset
+  contingency table per attribute set, built one set at a time from
+  summed per-chunk ``bincount``\\ s while it has at most
+  ``max(largest chunk, 65_536)`` cells;
+* every other itemset, and every packed :class:`~repro.core.cover.Cover`
+  of the SDAD-CS search, is counted by a packed AND + popcount against
+  per-chunk group bit stacks (:meth:`Cover.group_counts`), never
+  densifying a full-row mask.
 
-``group_counts(itemset)``
-    one candidate → one ``(n_groups,)`` int64 row (scalar path);
-``group_counts_batch(itemsets)``
-    N candidates → one ``(N, n_groups)`` int64 matrix (batch path).
-
-The search state itself (SDAD-CS spaces) speaks packed per-chunk
-:class:`~repro.core.cover.Cover` bitsets, so every backend also exposes
-``chunk_sizes`` / ``cover_of`` / ``full_cover`` / ``cover_group_counts``;
-both backends count a cover with one packed AND + popcount per chunk
-(:meth:`Cover.group_counts`), never densifying a full-row mask.
-
-Every backend accepts batches: :class:`CountingBackendBase` provides a
-per-candidate fallback that stacks ``group_counts`` rows, and both
-backends override it (mask: one ``bincount`` contingency table per
-categorical attribute set; chunked: chunk-outer iteration with the
-digest-keyed cache intact).  Candidates counted one by one — through the
-fallback, or by an override for itemsets its fast path does not cover —
-are tallied in ``batch_fallbacks``.
-
-Backends also self-instrument: every counting call (a batch of N counts
-as N calls, so scalar and batch drivers report comparable totals), every
-cache hit/miss, and every batch invocation is tallied and published into
-:class:`~repro.core.instrumentation.MiningStats` so the benches can
-attribute wall-clock wins.
+The backend tallies its work — a batch of N counts as N ``count_calls``,
+like N cover counts — and publishes it into
+:class:`~repro.core.instrumentation.MiningStats`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from ..core.cover import Cover
-from ..core.partition import dataset_chunk_sizes
+from ..core.items import CategoricalItem
+from ..dataset.table import DatasetError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.instrumentation import MiningStats
     from ..core.items import Itemset
     from ..dataset.table import Dataset
 
-__all__ = ["BackendCounters", "CountingBackend", "CountingBackendBase"]
+__all__ = ["BackendCounters", "CountingBackend"]
+
+#: Tables up to this many cells are built whatever the chunk size; above
+#: it a table may have at most one cell per row of the largest chunk.
+#: The bound keeps a table's memory within what the per-candidate covers
+#: it replaces cost, so a few high-cardinality columns can never ask for
+#: gigabytes, and an out-of-core view stays at O(chunk).
+_MIN_TABLE_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -70,177 +69,181 @@ class BackendCounters:
     """
 
     count_calls: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     batch_calls: int = 0
     batched_candidates: int = 0
     batch_fallbacks: int = 0
 
     def __sub__(self, other: "BackendCounters") -> "BackendCounters":
         return BackendCounters(
-            count_calls=self.count_calls - other.count_calls,
-            cache_hits=self.cache_hits - other.cache_hits,
-            cache_misses=self.cache_misses - other.cache_misses,
-            batch_calls=self.batch_calls - other.batch_calls,
-            batched_candidates=self.batched_candidates - other.batched_candidates,
-            batch_fallbacks=self.batch_fallbacks - other.batch_fallbacks,
+            self.count_calls - other.count_calls,
+            self.batch_calls - other.batch_calls,
+            self.batched_candidates - other.batched_candidates,
+            self.batch_fallbacks - other.batch_fallbacks,
         )
 
     def __add__(self, other: "BackendCounters") -> "BackendCounters":
         return BackendCounters(
-            count_calls=self.count_calls + other.count_calls,
-            cache_hits=self.cache_hits + other.cache_hits,
-            cache_misses=self.cache_misses + other.cache_misses,
-            batch_calls=self.batch_calls + other.batch_calls,
-            batched_candidates=self.batched_candidates + other.batched_candidates,
-            batch_fallbacks=self.batch_fallbacks + other.batch_fallbacks,
+            self.count_calls + other.count_calls,
+            self.batch_calls + other.batch_calls,
+            self.batched_candidates + other.batched_candidates,
+            self.batch_fallbacks + other.batch_fallbacks,
         )
 
 
-@runtime_checkable
-class CountingBackend(Protocol):
-    """What the search layers require of a support-counting strategy."""
-
-    name: str
-    dataset: "Dataset"
-
-    def group_counts(self, itemset: "Itemset") -> np.ndarray:
-        """Per-group covered counts of an itemset (Eq. 1 numerators)."""
-        ...
-
-    def group_counts_batch(
-        self, itemsets: Sequence["Itemset"] | Iterable["Itemset"]
-    ) -> np.ndarray:
-        """Per-group counts of N itemsets as one ``(N, n_groups)`` matrix.
-
-        Row ``i`` equals ``group_counts(itemsets[i])`` exactly.
-        """
-        ...
-
-    def cover(self, itemset: "Itemset") -> np.ndarray:
-        """Boolean coverage mask of an itemset over the dataset rows."""
-        ...
-
-    @property
-    def chunk_sizes(self) -> tuple[int, ...]:
-        """Per-chunk row counts of the backing dataset (``(n_rows,)``
-        when dense) — the alignment every :class:`Cover` handed to this
-        backend must share."""
-        ...
-
-    def cover_of(self, itemset: "Itemset") -> Cover:
-        """Packed per-chunk coverage of an itemset (the search-state
-        representation; see :mod:`repro.core.cover`)."""
-        ...
-
-    def full_cover(self) -> Cover:
-        """Packed coverage of every row (the empty context)."""
-        ...
-
-    def cover_group_counts(self, cover: Cover) -> np.ndarray:
-        """Per-group counts inside a packed cover.
-
-        Equal to ``dataset.group_counts(cover.to_dense())`` and tallied
-        as one ``count_calls``; a cover that is not chunk-aligned with
-        the dataset raises :class:`~repro.dataset.table.DatasetError`.
-        """
-        ...
-
-    def counters(self) -> BackendCounters:
-        """Current instrumentation snapshot."""
-        ...
-
-    def publish(self, stats: "MiningStats") -> None:
-        """Fold counters accumulated since the last publish into stats."""
-        ...
-
-
-class CountingBackendBase:
-    """Counter plumbing and the batch fallback shared by concrete backends."""
-
-    name: str = "abstract"
+class CountingBackend:
+    """Count supports of itemsets and packed covers over ``dataset``'s
+    chunks (see the module docs)."""
 
     def __init__(self, dataset: "Dataset") -> None:
         self.dataset = dataset
+        self.chunk_sizes: tuple[int, ...] = dataset.chunk_sizes
+        self._max_cells = max(max(self.chunk_sizes, default=0),
+                              _MIN_TABLE_CELLS)
+        self._group_stacks: list[np.ndarray] | None = None
         self.count_calls = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.batch_calls = 0
         self.batched_candidates = 0
         self.batch_fallbacks = 0
         self._published = BackendCounters()
 
-    def group_counts(self, itemset: "Itemset") -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
+    def group_counts_batch(self, itemsets: Iterable["Itemset"]) -> np.ndarray:
+        """Per-group counts of N itemsets as one ``(N, n_groups)`` matrix.
 
-    def group_counts_batch(
-        self, itemsets: Sequence["Itemset"] | Iterable["Itemset"]
-    ) -> np.ndarray:
-        """Default per-candidate fallback: stack scalar ``group_counts`` rows.
-
-        Guarantees ``out[i] == group_counts(itemsets[i])`` for any backend.
-        Each candidate routed through here is tallied as a
-        ``batch_fallbacks`` so summaries show when the fast path is absent.
+        Purely categorical itemsets (the empty one included) are grouped
+        by attribute set and read from that set's contingency table.
+        This is exact: ``Dataset`` validates every code into
+        ``[0, cardinality)``, so no two cells share a key.  Itemsets whose
+        set is over the table bound, and itemsets with numeric items, are
+        counted one by one on their packed covers and tallied in
+        ``batch_fallbacks``.
         """
         items = list(itemsets)
         self.batch_calls += 1
         self.batched_candidates += len(items)
-        self.batch_fallbacks += len(items)
-        if not items:
-            return np.zeros((0, self.dataset.n_groups), dtype=np.int64)
-        rows = [
-            np.asarray(self.group_counts(itemset), dtype=np.int64)
-            for itemset in items
-        ]
-        return np.stack(rows)
+        dataset = self.dataset
+        out = np.zeros((len(items), dataset.n_groups), dtype=np.int64)
+        by_attributes: dict[tuple[str, ...], list[int]] = {}
+        one_by_one: list[int] = []
+        for i, itemset in enumerate(items):
+            if all(isinstance(item, CategoricalItem) for item in itemset):
+                by_attributes.setdefault(itemset.attributes, []).append(i)
+            else:
+                one_by_one.append(i)
+        for names, positions in by_attributes.items():
+            attributes = [dataset.attribute(name) for name in names]
+            shape = (*(a.cardinality for a in attributes), dataset.n_groups)
+            if math.prod(shape) > self._max_cells:
+                one_by_one.extend(positions)
+                continue
+            # code_of raises for unknown labels exactly as a cover does,
+            # before any table is built.
+            codes = np.array(
+                [
+                    [a.code_of(item.value)
+                     for a, item in zip(attributes, items[i])]
+                    for i in positions
+                ],
+                dtype=np.intp,
+            )
+            out[positions] = self._table(names, shape)[tuple(codes.T)]
+            self.count_calls += len(positions)
+        self.batch_fallbacks += len(one_by_one)
+        for i in one_by_one:
+            out[i] = self.cover_group_counts(self.cover_of(items[i]))
+        return out
 
-    # ------------------------------------------------------------------
-    # Packed-cover surface (Cover-native search state, DESIGN.md §13)
-    # ------------------------------------------------------------------
+    def _table(
+        self, names: tuple[str, ...], shape: tuple[int, ...]
+    ) -> np.ndarray:
+        """Group-by-itemset contingency table of one attribute set.
 
-    @property
-    def chunk_sizes(self) -> tuple[int, ...]:
-        """Per-chunk row counts of the backing dataset (``(n_rows,)``
-        when dense), so covers stay segment-aligned with it."""
-        return dataset_chunk_sizes(self.dataset)
+        The key of a row is its codes in mixed radix ``shape`` (the group
+        code last), so ``bincount`` fills the table in row-major order
+        and ``table[c_1, ..., c_k]`` is the contingency row of the
+        itemset with those codes.  Each chunk's table is added to the
+        first one's, so one table is alive at a time.
+        """
+        size = math.prod(shape)
+        table: np.ndarray | None = None
+        for i in range(len(self.chunk_sizes)):
+            chunk = self.dataset.chunk(i)
+            columns = [chunk.column(name) for name in names]
+            columns.append(chunk.group_codes)
+            key = columns[0].astype(np.int64)
+            for column, radix in zip(columns[1:], shape[1:]):
+                key *= radix
+                key += column
+            counts = np.bincount(key, minlength=size)
+            if table is None:
+                table = counts
+            else:
+                table += counts
+        if table is None:  # a view of no chunks
+            table = np.zeros(size, dtype=np.int64)
+        return table.reshape(shape)
 
     def cover_of(self, itemset: "Itemset") -> Cover:
-        """Packed coverage of an itemset.
+        """Packed coverage of an itemset, one lazy segment per chunk: no
+        chunk is read until the search intersects or counts the cover,
+        and each is then covered and packed on its own (O(chunk))."""
+        dataset = self.dataset
 
-        Reference fallback: densify via :meth:`cover` and pack along the
-        chunk boundaries.  Backends with packed or per-chunk indexes
-        override to avoid the dense intermediate.
-        """
-        return Cover.from_dense(self.cover(itemset), self.chunk_sizes)
+        def segment(i: int) -> np.ndarray:
+            return np.packbits(itemset.cover(dataset.chunk(i)))
+
+        return Cover(
+            [functools.partial(segment, i)
+             for i in range(len(self.chunk_sizes))],
+            self.chunk_sizes,
+        )
 
     def full_cover(self) -> Cover:
         """Packed coverage of every row (the empty context)."""
         return Cover.full(self.chunk_sizes)
 
+    def cover_group_counts(self, cover: Cover) -> np.ndarray:
+        """Per-group counts inside a packed cover: one AND + popcount per
+        chunk against its group bit stack, equal to
+        ``dataset.group_counts(cover.to_dense())``.  A cover that is not
+        chunk-aligned with the dataset raises :class:`DatasetError`."""
+        self.count_calls += 1
+        if cover.chunk_sizes != self.chunk_sizes:
+            raise DatasetError("cover is not chunk-aligned with the dataset")
+        if self._group_stacks is None:
+            # ``n_groups * n_rows / 8`` bytes, built once.  A view maps
+            # each chunk's group file for them: built from the widened
+            # codes of chunk datasets instead, they cost a chunked mine
+            # about four times the page faults (DESIGN.md §7).
+            groups = range(self.dataset.n_groups)
+            self._group_stacks = [
+                np.stack([np.packbits(codes == g) for g in groups])
+                for codes in map(self.dataset.chunk_group_codes,
+                                 range(len(self.chunk_sizes)))
+            ]
+        return cover.group_counts(self._group_stacks)
+
     def counters(self) -> BackendCounters:
+        """Current instrumentation snapshot."""
         return BackendCounters(
-            count_calls=self.count_calls,
-            cache_hits=self.cache_hits,
-            cache_misses=self.cache_misses,
-            batch_calls=self.batch_calls,
-            batched_candidates=self.batched_candidates,
-            batch_fallbacks=self.batch_fallbacks,
+            self.count_calls,
+            self.batch_calls,
+            self.batched_candidates,
+            self.batch_fallbacks,
         )
 
     def publish(self, stats: "MiningStats") -> None:
-        """Fold the delta since the previous publish into ``stats``.
-
-        Delta semantics let a long-lived backend (e.g. the worker-global
-        one in the parallel scheduler) publish into a fresh stats object
-        per task without double counting.
-        """
+        """Fold the counters accrued since the previous publish into
+        ``stats``.  Delta semantics let a long-lived backend (a parallel
+        worker's) publish into a fresh stats object per task without
+        double counting."""
         current = self.counters()
         delta = current - self._published
         self._published = current
-        stats.counting_backend = self.name
         stats.count_calls += delta.count_calls
-        stats.cache_hits += delta.cache_hits
-        stats.cache_misses += delta.cache_misses
         stats.batch_calls += delta.batch_calls
         stats.batched_candidates += delta.batched_candidates
         stats.batch_fallbacks += delta.batch_fallbacks
+
+
+#: Read only by ``benchmarks/suite/tracer.py``, which wraps this name.
+CountingBackendBase = CountingBackend

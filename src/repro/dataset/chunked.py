@@ -26,17 +26,18 @@ Two read-side facades cover the two access patterns:
 
 :meth:`ChunkedDataset.iter_chunks`
     yields ordinary in-memory :class:`~repro.dataset.table.Dataset`
-    views of each chunk (mmap-backed) — the substrate for per-chunk
-    support counting, which is embarrassingly additive across row
-    chunks (chi-square, PR and diff bounds are exact after a per-chunk
-    merge of group-count vectors).
+    views of each chunk (mmap-backed).
 :meth:`ChunkedDataset.view`
     a :class:`ChunkedView` — a lazy :class:`Dataset` subclass over the
     full row range that materialises *columns* on demand (LRU-bounded),
     so the SDAD-CS continuous splits and the meaningfulness filters run
     unchanged with peak memory bounded by a few columns, never the full
-    table.  ``ContrastSetMiner.mine`` accepts a :class:`ChunkedDataset`
-    directly and mines through this view.
+    table.  Its chunk protocol (``chunk_sizes``, ``chunk(i)``,
+    ``chunk_group_codes(i)``) is what :mod:`repro.counting` counts
+    through: support counting is additive across row chunks, so
+    per-chunk counts, summed, are exact.  ``ContrastSetMiner.mine``
+    accepts a :class:`ChunkedDataset` directly and mines through this
+    view.
 
 Appends are atomic (chunk directory renamed into place, then the
 manifest rewritten via the temp-file + ``os.replace`` idiom shared with
@@ -737,7 +738,8 @@ class ChunkedView(Dataset):
     sees byte-identical values to an in-memory dataset) and at most
     ``max_resident_columns`` stay resident.  Group codes are lazy too:
     row totals and group sizes come from the chunk manifests, the
-    chunk-native counting path never widens them to ``int64``, and
+    counting backend reads them per chunk (:meth:`chunk_group_codes`)
+    and never widens them to ``int64``, and
     consumers that need the full column (fingerprints, ``restrict``)
     gather it on first access.  :meth:`column` is an LRU of gathered
     columns; :meth:`iter_chunk_columns` maps the chunk files on every
@@ -780,7 +782,8 @@ class ChunkedView(Dataset):
         # trigger a one-off gather through the ``_group_codes`` property.
         self._resident_codes: np.ndarray | None = None
         metas = [store._chunk_meta(i) for i in self._chunk_indices]
-        self._n_rows = sum(m.n_rows for m in metas)
+        self._chunk_sizes = tuple(m.n_rows for m in metas)
+        self._n_rows = sum(self._chunk_sizes)
         sizes = np.zeros(len(self._group_labels), dtype=np.int64)
         for meta in metas:
             sizes += np.asarray(meta.group_sizes, dtype=np.int64)
@@ -788,7 +791,7 @@ class ChunkedView(Dataset):
         self._columns: dict[str, np.ndarray] = {}  # unused; lazy instead
         self._column_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
 
-    # -- chunk-level surface (used by the chunk-aware counting backend)
+    # -- chunk-level surface
 
     @property
     def chunk_store(self) -> ChunkedDataset:
@@ -806,14 +809,22 @@ class ChunkedView(Dataset):
     def n_chunks(self) -> int:
         return len(self._chunk_ids)
 
-    def chunk_metas(self) -> tuple[ChunkMeta, ...]:
-        return tuple(
-            self._store._chunk_meta(i) for i in self._chunk_indices
-        )
+    @property
+    def chunk_sizes(self) -> tuple[int, ...]:
+        """Row counts of the pinned chunks, in row order."""
+        return self._chunk_sizes
 
-    def iter_chunks(self) -> Iterator[Dataset]:
-        for index in self._chunk_indices:
-            yield self._store.chunk_dataset(index)
+    def chunk(self, i: int) -> Dataset:
+        """Pinned chunk ``i`` as an in-memory, mmap-backed dataset
+        (:meth:`ChunkedDataset.chunk_dataset`)."""
+        return self._store.chunk_dataset(self._chunk_indices[i])
+
+    def chunk_group_codes(self, i: int) -> np.ndarray:
+        """Group codes of pinned chunk ``i``, mapped straight from its
+        group file at the stored code width: no chunk dataset is built
+        and nothing is widened."""
+        meta = self._store._chunk_meta(self._chunk_indices[i])
+        return self._store._mmap_file(meta, GROUP_FILE)
 
     def iter_chunk_columns(self, name: str) -> Iterator[np.ndarray]:
         """Yield one canonical-dtype array per chunk for ``name``.

@@ -13,7 +13,7 @@ membership inside the mask with :meth:`Dataset.group_counts`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -222,6 +222,29 @@ class Dataset:
 
     def attribute(self, name: str) -> Attribute:
         return self._schema[name]
+
+    # ------------------------------------------------------------------
+    # Chunk protocol: how the counting backend reads any layout
+    # ------------------------------------------------------------------
+
+    @property
+    def chunk_sizes(self) -> tuple[int, ...]:
+        """Row counts of the dataset's chunks; in memory, one chunk."""
+        return (self.n_rows,)
+
+    def chunk(self, i: int) -> "Dataset":
+        """Chunk ``i`` as an in-memory dataset: here, the dataset itself."""
+        if i != 0:
+            raise IndexError(f"chunk {i} of a one-chunk dataset")
+        return self
+
+    def chunk_group_codes(self, i: int) -> np.ndarray:
+        """Group codes of chunk ``i``'s rows (any integer width)."""
+        return self.chunk(i).group_codes
+
+    def iter_chunk_columns(self, name: str) -> Iterator[np.ndarray]:
+        """Yield column ``name`` chunk by chunk; here, the one column."""
+        yield self.column(name)
 
     # ------------------------------------------------------------------
     # Counting primitives used by the miners

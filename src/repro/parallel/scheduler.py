@@ -29,10 +29,10 @@ This module implements the strategy with ``multiprocessing`` on one
 machine — the paper's cluster stands in for our process pool (DESIGN.md
 substitution #4).  The public entry point is
 :meth:`repro.ContrastSetMiner.mine` with ``n_jobs > 1``.  Workers count
-supports through the :mod:`counting backend <repro.counting>` of the
-dataset's layout — each worker builds its backend once in the pool
-initializer, so the backend's group bit stacks and counts cache persist
-across the tasks a worker processes.
+supports through a :mod:`counting backend <repro.counting>` over the
+dataset — each worker builds its backend once in the pool initializer,
+so the backend's group bit stacks persist across the tasks a worker
+processes.
 
 Task dispatch is fault-tolerant (DESIGN.md section 9): every task travels
 through :class:`~repro.resilience.executor.ResilientExecutor`, which
@@ -66,7 +66,7 @@ from ..core.pruning import PruneTable
 from ..core.sdad import sdad_cs
 from ..core.stats import AlphaLadder
 from ..core.topk import TopKList
-from ..counting import CountingBackend, backend_for
+from ..counting import CountingBackend
 from ..dataset.table import Dataset
 from ..resilience.checkpoint import (
     MiningCheckpoint,
@@ -97,7 +97,7 @@ def _init_worker(
     # page cache instead of receiving the table itself.
     _WORKER_DATASET = dataset
     _WORKER_CONFIG = config
-    _WORKER_BACKEND = backend_for(dataset)
+    _WORKER_BACKEND = CountingBackend(dataset)
     _WORKER_FAULT_PLAN = fault_plan
 
 
@@ -255,7 +255,7 @@ class _SerialFallback:
 
     def __call__(self, task: _LevelTask) -> _TaskOutcome:
         if self._backend is None:
-            self._backend = backend_for(self._dataset)
+            self._backend = CountingBackend(self._dataset)
         return _execute_task(task, self._dataset, self._config, self._backend)
 
 

@@ -194,11 +194,24 @@ class _RequestHandler(BaseHTTPRequestHandler):
         app = self.app
         length = self.headers.get("Content-Length")
         body = None
+        # Each rejection below leaves the body unread (where it ends is
+        # unknown, or it is too large to read), so the connection is
+        # closed: otherwise its bytes would be parsed as the next request
+        # on this keep-alive connection.  A body must come with a
+        # Content-Length; a Transfer-Encoding (chunked or any other) is
+        # refused before a byte of it is read.
+        if self.headers.get("Transfer-Encoding") is not None:
+            self._reply(
+                411,
+                app._render(
+                    {"error": "Transfer-Encoding is not supported; "
+                              "send a Content-Length",
+                     "status": 411}
+                ),
+                close=True,
+            )
+            return
         if length is not None:
-            # Both rejections leave the body unread (where it ends is
-            # unknown, or it is too large to read), so the connection is
-            # closed: otherwise its bytes would be parsed as the next
-            # request on this keep-alive connection.
             length = length.strip(" \t")
             if not (length.isascii() and length.isdigit()):
                 self._reply(

@@ -411,6 +411,8 @@ class PatternStore:
         try:
             summary_payload = dict(meta["summary"])
             summary_payload.pop("prune_rule_batched", None)  # retired in 1.6.0
+            for retired in ("counting_backend", "cache_hits", "cache_misses"):
+                summary_payload.pop(retired, None)  # retired in 1.9.0
             # JSON has no tuples; restore the dataclass's declared type.
             summary_payload["group_labels"] = tuple(
                 summary_payload["group_labels"]

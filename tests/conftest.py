@@ -114,7 +114,7 @@ def _dense_cover_group_counts(backend, cover):
 
 @pytest.fixture
 def count_covers(monkeypatch):
-    """Choose how the counting backends count covers.
+    """Choose how the counting backend counts covers.
 
     ``count_covers("bitmap")`` keeps the shipped count on packed words;
     ``count_covers("mask")`` counts each cover as a dense mask with
@@ -122,15 +122,14 @@ def count_covers(monkeypatch):
     count must equal.  Worker processes forked afterwards inherit the
     choice.
     """
-    from repro.counting.chunked import ChunkedBackend
-    from repro.counting.mask import MaskBackend
+    from repro.counting import CountingBackend
 
     def count(way: str) -> None:
         assert way in ("mask", "bitmap"), way
         if way == "mask":
-            for cls in (MaskBackend, ChunkedBackend):
-                monkeypatch.setattr(
-                    cls, "cover_group_counts", _dense_cover_group_counts
-                )
+            monkeypatch.setattr(
+                CountingBackend, "cover_group_counts",
+                _dense_cover_group_counts,
+            )
 
     return count

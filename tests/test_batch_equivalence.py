@@ -2,8 +2,9 @@
 
 Two layers of the vectorized evaluation engine are pinned here:
 
-* ``group_counts_batch`` returns exactly the stacked scalar
-  ``group_counts`` rows, for every registered backend (property-based);
+* ``group_counts_batch`` returns exactly the reference counts
+  ``dataset.group_counts(itemset.cover(dataset))``, in memory and on a
+  multi-chunk view (property-based);
 * every vectorized kernel (chi-square, expected counts, the minimum
   deviation and expected count rules' closed forms, optimistic
   estimates, interest measures) matches its scalar counterpart element
@@ -22,6 +23,10 @@ accounting frozen from the retired per-candidate driver
 
 from __future__ import annotations
 
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 from repro import (
     Attribute,
     CategoricalItem,
+    ChunkedDataset,
     ContrastPattern,
     Dataset,
     Itemset,
@@ -67,12 +73,20 @@ from repro.core.stats import (
     min_expected_count,
     min_expected_count_batch,
 )
-from repro.counting import MaskBackend
-
+from repro.counting import CountingBackend
 
 # ----------------------------------------------------------------------
-# group_counts_batch == stacked scalar group_counts, per backend
+# group_counts_batch == the reference counts, in memory and on a view
 # ----------------------------------------------------------------------
+
+
+def _layouts(dataset, path):
+    """``dataset`` in memory and as a view of three chunks."""
+    view = ChunkedDataset.pack(
+        path, dataset, chunk_size=math.ceil(dataset.n_rows / 3)
+    ).view()
+    assert view.n_chunks == 3
+    return dataset, view
 
 
 @st.composite
@@ -80,7 +94,7 @@ def dataset_and_itemsets(draw):
     """A small mixed dataset plus a batch of random candidate itemsets.
 
     Two or three categorical attributes of cardinality 1-5, each wider
-    one with a category no row takes, so the mask backend's
+    one with a category no row takes, so the counter's
     contingency-table key spans several attributes and empty cells.  A
     batch mixes attribute sets, the empty itemset and numeric items.
     """
@@ -149,10 +163,6 @@ def dataset_and_itemsets(draw):
 @given(data=dataset_and_itemsets())
 def test_group_counts_batch_matches_stacked_scalar(data):
     dataset, itemsets = data
-    backend = MaskBackend(dataset)
-    before = backend.counters()
-    batch = backend.group_counts_batch(itemsets)
-    grown = backend.counters() - before
     n = len(itemsets)
     # every categorical combination here fits the table bound, so only
     # itemsets with a numeric item take the per-candidate path
@@ -160,20 +170,30 @@ def test_group_counts_batch_matches_stacked_scalar(data):
         any(isinstance(item, NumericItem) for item in itemset)
         for itemset in itemsets
     )
-    assert grown.count_calls == n
-    assert grown.batch_calls == 1
-    assert grown.batched_candidates == n
-    assert grown.batch_fallbacks == with_numeric
-    assert batch.shape == (n, dataset.n_groups)
-    assert batch.dtype == np.int64
-    for i, itemset in enumerate(itemsets):
-        assert np.array_equal(batch[i], backend.group_counts(itemset))
+    with tempfile.TemporaryDirectory() as tmp:
+        for layout in _layouts(dataset, Path(tmp) / "store"):
+            backend = CountingBackend(layout)
+            before = backend.counters()
+            batch = backend.group_counts_batch(itemsets)
+            grown = backend.counters() - before
+            assert grown.count_calls == n
+            assert grown.batch_calls == 1
+            assert grown.batched_candidates == n
+            assert grown.batch_fallbacks == with_numeric
+            assert batch.shape == (n, dataset.n_groups)
+            assert batch.dtype == np.int64
+            for i, itemset in enumerate(itemsets):
+                assert np.array_equal(
+                    batch[i], dataset.group_counts(itemset.cover(dataset))
+                )
 
 
-def test_mask_batch_bounds_table_cells():
+def test_mask_batch_bounds_table_cells(tmp_path):
     """Three 5,000-category attributes over a few hundred rows would
     need a ~2.5e11-cell table: those combinations are counted one by
-    one instead, and a one-attribute set still gets its table."""
+    one instead, and a one-attribute set still gets its table.  The
+    bound is ``max(largest chunk, 65_536)`` cells, so 65,536 both in
+    memory and on a view of 100-row chunks."""
     n = 300
     rng = np.random.default_rng(7)
     labels = [f"v{v}" for v in range(5_000)]
@@ -199,23 +219,23 @@ def test_mask_batch_bounds_table_cells():
     )
     single = Itemset([CategoricalItem("a", labels[0])])
     itemsets = [*wide, pair, single]
-    backend = MaskBackend(dataset)
-    batch = backend.group_counts_batch(itemsets)
-    assert backend.batch_fallbacks == len(wide) + 1
-    assert backend.count_calls == len(itemsets)
-    for i, itemset in enumerate(itemsets):
-        assert np.array_equal(batch[i], backend.group_counts(itemset))
-    assert batch[: len(wide)].sum() >= len(wide)
+    for layout in _layouts(dataset, tmp_path / "store"):
+        backend = CountingBackend(layout)
+        batch = backend.group_counts_batch(itemsets)
+        assert backend.batch_fallbacks == len(wide) + 1
+        assert backend.count_calls == len(itemsets)
+        for i, itemset in enumerate(itemsets):
+            assert np.array_equal(
+                batch[i], dataset.group_counts(itemset.cover(dataset))
+            )
+        assert batch[: len(wide)].sum() >= len(wide)
 
 
 def test_group_counts_batch_matches_scalar_chunked(tmp_path, mixed_dataset):
-    from repro.counting.chunked import ChunkedBackend
-    from repro.dataset.chunked import ChunkedDataset
-
     store = ChunkedDataset.pack(
         tmp_path / "store", mixed_dataset, chunk_size=97
     )
-    backend = ChunkedBackend(store.view())
+    backend = CountingBackend(store.view())
     itemsets = [
         Itemset(),
         Itemset([CategoricalItem("color", "red")]),
@@ -229,17 +249,17 @@ def test_group_counts_batch_matches_scalar_chunked(tmp_path, mixed_dataset):
     ]
     batch = backend.group_counts_batch(itemsets)
     for i, itemset in enumerate(itemsets):
-        assert np.array_equal(batch[i], backend.group_counts(itemset))
+        assert np.array_equal(
+            batch[i], mixed_dataset.group_counts(itemset.cover(mixed_dataset))
+        )
 
 
 def test_group_counts_batch_empty_input(tmp_path, mixed_dataset):
-    from repro.counting.chunked import ChunkedBackend
-    from repro.dataset.chunked import ChunkedDataset
-
     store = ChunkedDataset.pack(
         tmp_path / "store", mixed_dataset, chunk_size=97
     )
-    for backend in (MaskBackend(mixed_dataset), ChunkedBackend(store.view())):
+    for layout in (mixed_dataset, store.view()):
+        backend = CountingBackend(layout)
         out = backend.group_counts_batch([])
         assert out.shape == (0, mixed_dataset.n_groups)
         assert out.dtype == np.int64

@@ -18,8 +18,7 @@ import pytest
 from repro import ChunkedDataset, ContrastSetMiner, MinerConfig
 from repro.cli import main
 from repro.core.serialize import patterns_to_dicts
-from repro.counting import backend_for
-from repro.counting.chunked import ChunkedBackend
+from repro.counting import CountingBackend
 from repro.dataset import synthetic, uci
 from repro.dataset.io import write_csv
 
@@ -132,47 +131,24 @@ def test_mining_a_view_after_append_uses_its_snapshot(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Backend dispatch and cache mechanics
+# The counter over a view
 # ---------------------------------------------------------------------------
 
 
 def test_backend_from_config_dispatch(tmp_path, mixed_dataset):
-    """The dataset's type picks the counter: no config is consulted."""
+    """One counter serves every layout and no config is consulted: it
+    takes the chunk layout from the dataset."""
     store = ChunkedDataset.pack(tmp_path / "s", mixed_dataset,
                                 chunk_size=200)
-    backend = backend_for(store.view())
-    assert isinstance(backend, ChunkedBackend)
-    assert backend.name == "chunked"
-    assert backend_for(mixed_dataset).name == "mask"
+    assert CountingBackend(store.view()).chunk_sizes == (200, 200, 200)
+    assert CountingBackend(mixed_dataset).chunk_sizes == (600,)
 
 
 def test_backend_cache_size_validation():
-    """The counts LRU is sized by ``DEFAULT_COUNTS_CACHE``; the config
-    has no knob for it."""
+    """The counter keeps no counts cache, and the config has no knob
+    for one."""
     with pytest.raises(TypeError, match="backend_cache_size"):
         MinerConfig(backend_cache_size=8)
-
-
-def test_counts_cache_is_digest_keyed(tmp_path, categorical_dataset):
-    """Cache keys are (chunk content digest, itemset): content-addressed,
-    so identical chunks share keys across stores and appended chunks can
-    never collide with (or invalidate) existing entries."""
-    from repro.core.items import CategoricalItem, Itemset
-
-    a = ChunkedDataset.pack(tmp_path / "a", categorical_dataset,
-                            chunk_size=300)
-    b = ChunkedDataset.pack(tmp_path / "b", categorical_dataset,
-                            chunk_size=300)
-    itemset = Itemset([CategoricalItem("tool", "T1")])
-    backend_a = ChunkedBackend(a.view())
-    backend_b = ChunkedBackend(b.view())
-    counts = backend_a.group_counts(itemset)
-    assert np.array_equal(counts, backend_b.group_counts(itemset))
-    assert set(backend_a._counts_cache) == set(backend_b._counts_cache)
-    # second pass over the same view: every chunk is a cache hit
-    before = backend_a.cache_hits
-    backend_a.group_counts(itemset)
-    assert backend_a.cache_hits == before + a.n_chunks
 
 
 def test_chunked_backend_counts_match_dense(tmp_path, categorical_dataset):
@@ -181,15 +157,15 @@ def test_chunked_backend_counts_match_dense(tmp_path, categorical_dataset):
 
     store = ChunkedDataset.pack(tmp_path / "s", categorical_dataset,
                                 chunk_size=137)
-    backend = ChunkedBackend(store.view())
+    backend = CountingBackend(store.view())
     for tool in ("T1", "T2"):
         itemset = Itemset([CategoricalItem("tool", tool)])
         mask = itemset.cover(categorical_dataset)
         assert np.array_equal(
-            backend.group_counts(itemset),
+            backend.group_counts_batch([itemset])[0],
             categorical_dataset.group_counts(mask),
         )
-        assert np.array_equal(backend.cover(itemset), mask)
+        assert np.array_equal(backend.cover_of(itemset).to_dense(), mask)
     mask = np.asarray(categorical_dataset.group_codes) == 0
     assert np.array_equal(
         backend.cover_group_counts(
@@ -197,11 +173,6 @@ def test_chunked_backend_counts_match_dense(tmp_path, categorical_dataset):
         ),
         categorical_dataset.group_counts(mask),
     )
-
-
-def test_chunked_backend_rejects_dense_dataset(mixed_dataset):
-    with pytest.raises(TypeError, match="ChunkedView"):
-        ChunkedBackend(mixed_dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +311,7 @@ class TestDatasetCli:
         assert "600 rows in 4 chunks" in out
         assert "all digests match" in out
         assert main(["mine", store, "--depth", "2", "--top", "3"]) == 0
-        assert "[chunked backend" in capsys.readouterr().out
+        assert " count calls]" in capsys.readouterr().out
 
     def test_verify_clean_store(self, tmp_path, csv_path, capsys):
         store = str(tmp_path / "store")
@@ -429,24 +400,20 @@ class TestDatasetCli:
             assert f"unrecognized arguments: {flag} {value}" in err
             assert "Traceback" not in err
 
-    def test_cache_size_flag_accepted(self, tmp_path, csv_path, capsys,
-                                      monkeypatch):
-        """The counts LRU that ``mine --cache-size`` once sized takes
-        ``DEFAULT_COUNTS_CACHE``: a one-entry LRU mines the same
-        patterns as the default one, with no flag to pass."""
-        from repro.counting import chunked as chunked_counting
-
+    def test_cache_size_flag_accepted(self, tmp_path, csv_path, capsys):
+        """``mine`` needs no ``--cache-size`` (or any other flag) to mine
+        a packed store: it prints the patterns of the CSV it was packed
+        from."""
         store = str(tmp_path / "store")
         main(["dataset", "pack", csv_path, "--group", "group",
               "--store", store, "--chunk-size", "150"])
         capsys.readouterr()
-        argv = ["mine", store, "--depth", "1", "--all", "--json"]
-        assert main(argv) == 0
-        default = json.loads(capsys.readouterr().out)
-        assert default
-        monkeypatch.setattr(chunked_counting, "DEFAULT_COUNTS_CACHE", 1)
-        assert main(argv) == 0
-        assert json.loads(capsys.readouterr().out) == default
+        argv = ["mine", "--depth", "1", "--all", "--json"]
+        assert main([*argv, store]) == 0
+        packed = json.loads(capsys.readouterr().out)
+        assert packed
+        assert main([*argv, csv_path, "--group", "group"]) == 0
+        assert json.loads(capsys.readouterr().out) == packed
 
     def test_info_on_store_dir(self, tmp_path, csv_path, capsys):
         store = str(tmp_path / "store")

@@ -61,7 +61,6 @@ class TestUnifiedMine:
             (p.itemset, p.counts) for p in bitmap.patterns
         ]
         assert bitmap.stats.sdad_calls > 0
-        assert bitmap.stats.counting_backend == "mask"
 
     def test_attribute_restriction(self, small_trace):
         names = small_trace.schema.names[:4]
@@ -80,7 +79,6 @@ class TestUnifiedMine:
         assert summary.n_patterns == len(result)
         assert summary.n_rows == small_trace.n_rows
         assert summary.n_workers == 2
-        assert summary.counting_backend == "mask"
 
 
 class TestPruneParity:

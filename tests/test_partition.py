@@ -6,7 +6,6 @@ import struct
 import warnings
 import weakref
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from repro.core.partition import (
     merged_space,
     partition_median,
 )
+from repro.counting import CountingBackend
 from repro.dataset.schema import Attribute, Schema
 from repro.dataset.table import Dataset
 
@@ -41,7 +41,9 @@ def _dataset(x=None, y=None, groups=None):
 
 
 def _root(ds, attrs=("x", "y")):
-    return full_space(ds, attrs, np.ones(ds.n_rows, dtype=bool))
+    return full_space(
+        ds, attrs, np.ones(ds.n_rows, dtype=bool), CountingBackend(ds)
+    )
 
 
 class TestAttributeRange:
@@ -85,7 +87,7 @@ class TestFullSpace:
         ds = _dataset()
         mask = np.zeros(ds.n_rows, dtype=bool)
         mask[:3] = True
-        root = full_space(ds, ("x",), mask)
+        root = full_space(ds, ("x",), mask, CountingBackend(ds))
         assert root.total_count == 3
 
 
@@ -155,7 +157,7 @@ class TestFindCombinations:
             "x": partition_median(ds, root, "x"),
             "y": partition_median(ds, root, "y"),
         }
-        children = find_combinations(ds, root, splits)
+        children = find_combinations(root, splits, CountingBackend(ds))
         assert len(children) == 4
         total = sum(c.total_count for c in children)
         assert total == root.total_count
@@ -167,7 +169,7 @@ class TestFindCombinations:
             "x": partition_median(ds, root, "x"),
             "y": partition_median(ds, root, "y"),
         }
-        children = find_combinations(ds, root, splits)
+        children = find_combinations(root, splits, CountingBackend(ds))
         stacked = np.vstack([c.cover.to_dense() for c in children])
         assert (stacked.sum(axis=0) <= 1).all()
 
@@ -175,7 +177,7 @@ class TestFindCombinations:
         ds = _dataset()
         root = _root(ds)
         splits = {"x": partition_median(ds, root, "x")}
-        children = find_combinations(ds, root, splits)
+        children = find_combinations(root, splits, CountingBackend(ds))
         assert len(children) == 2
         for child in children:
             assert child.intervals["y"] == root.intervals["y"]
@@ -183,7 +185,7 @@ class TestFindCombinations:
     def test_no_split_attribute_keeps_the_parent_box(self):
         ds = _dataset()
         root = _root(ds)
-        (child,) = find_combinations(ds, root, {})
+        (child,) = find_combinations(root, {}, CountingBackend(ds))
         assert child.intervals == root.intervals
         assert (child.cover.to_dense() == root.cover.to_dense()).all()
         assert (child.counts == root.counts).all()
@@ -196,13 +198,13 @@ class TestFindCombinations:
         ds = _dataset(x=x)
         context = np.ones(ds.n_rows, dtype=bool)
         context[0] = False
-        root = full_space(ds, ("x", "y"), context)
+        root = full_space(ds, ("x", "y"), context, CountingBackend(ds))
         assert root.total_count == 7
         splits = {
             "x": partition_median(ds, root, "x"),
             "y": partition_median(ds, root, "y"),
         }
-        children = find_combinations(ds, root, splits)
+        children = find_combinations(root, splits, CountingBackend(ds))
         assert len(children) == 4
         stacked = np.vstack([c.cover.to_dense() for c in children])
         assert (stacked.sum(axis=0) <= 1).all()
@@ -230,7 +232,9 @@ class TestSpace:
                       groups=[0, 1] * 4 + [0])
         root = _root(ds)
         left, right = partition_median(ds, root, "x")
-        children = find_combinations(ds, root, {"x": (left, right)})
+        children = find_combinations(
+            root, {"x": (left, right)}, CountingBackend(ds)
+        )
         assert children[0].hypervolume == pytest.approx(0.5)
 
 
@@ -239,7 +243,7 @@ class TestMerging:
         ds = _dataset()
         root = _root(ds)
         splits = {"x": partition_median(ds, root, "x")}
-        return ds, find_combinations(ds, root, splits)
+        return ds, find_combinations(root, splits, CountingBackend(ds))
 
     def test_contiguous_siblings(self):
         __, (left, right) = self._siblings()
@@ -264,7 +268,7 @@ class TestMerging:
             "x": partition_median(ds, root, "x"),
             "y": partition_median(ds, root, "y"),
         }
-        children = find_combinations(ds, root, splits)
+        children = find_combinations(root, splits, CountingBackend(ds))
         # children[0] = (x-left, y-left); children[3] = (x-right, y-right)
         assert not are_contiguous(children[0], children[3])
         assert are_contiguous(children[0], children[1])
@@ -276,7 +280,7 @@ class TestMerging:
             "x": partition_median(ds, root, "x"),
             "y": partition_median(ds, root, "y"),
         }
-        children = find_combinations(ds, root, splits)
+        children = find_combinations(root, splits, CountingBackend(ds))
         with pytest.raises(ValueError):
             merged_space(children[0], children[3])
 
@@ -302,7 +306,9 @@ def test_median_split_partition_property(values):
     groups[::2] = 1
     schema = Schema.of([Attribute.continuous("x")])
     ds = Dataset(schema, {"x": values}, groups, ["A", "B"])
-    root = full_space(ds, ("x",), np.ones(len(values), dtype=bool))
+    root = full_space(
+        ds, ("x",), np.ones(len(values), dtype=bool), CountingBackend(ds)
+    )
     halves = partition_median(ds, root, "x")
     if np.unique(values).size < 2:
         assert halves is None
@@ -330,10 +336,9 @@ class _FakeChunkedColumn:
         self._chunks = [np.asarray(c, dtype=np.float64) for c in chunks]
         self.n_rows = sum(chunk.size for chunk in self._chunks)
 
-    def chunk_metas(self):
-        return tuple(
-            SimpleNamespace(n_rows=chunk.size) for chunk in self._chunks
-        )
+    @property
+    def chunk_sizes(self):
+        return tuple(chunk.size for chunk in self._chunks)
 
     def column(self, name):
         assert name == "x"
@@ -551,10 +556,11 @@ def test_chunked_view_splits_map_each_chunk_once(
     monkeypatch.setattr(ChunkedDataset, "_mmap_file", counting)
     context = np.ones(view.n_rows, dtype=bool)
     context[0] = False
-    root = full_space(view, ("x",), context)
+    root = full_space(view, ("x",), context, CountingBackend(view))
     assert root.total_count <= part.MEDIAN_GATHER_BUDGET
     children = find_combinations(
-        view, root, {"x": partition_median(view, root, "x")}
+        root, {"x": partition_median(view, root, "x")},
+        CountingBackend(view),
     )
     assert partition_median(view, children[0], "x") is not None
     passes = 1 if resident else 5  # the range, then two per split

@@ -20,7 +20,7 @@ from repro.core.pipeline import (
 )
 from repro.core.pruning import PruneReason, PruneTable
 from repro.core.sdad import sdad_cs
-from repro.counting import MaskBackend
+from repro.counting import CountingBackend
 
 
 def make_pattern(counts, group_sizes=(100, 100), attrs=("a",)):
@@ -331,7 +331,7 @@ class TestProcessCategoricalCandidate:
     def run_combo(dataset, pipeline, candidates, level, known_pure=()):
         """Outcomes plus the (partitions_evaluated, count_calls) deltas
         of one combination."""
-        backend = MaskBackend(dataset)
+        backend = CountingBackend(dataset)
         evaluator = BatchEvaluator(dataset, pipeline, backend)
         before = (pipeline.stats.partitions_evaluated, backend.count_calls)
         outcomes = evaluator.process_categorical_combo(

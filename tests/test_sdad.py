@@ -378,7 +378,7 @@ class TestSiblingSweep:
                 if halves is not None:
                     found[name] = halves
             per_split.append(
-                find_combinations(alone.dataset, space, found, alone.backend)
+                find_combinations(space, found, alone.backend)
             )
 
         assert [len(children) for children in swept] == [8, 8, 8]

@@ -347,6 +347,35 @@ class TestValidation:
         assert response.split(b" ", 2)[1] == b"413"
         assert response.count(b"HTTP/1.1 ") == 1
 
+    def test_chunked_body_411_is_not_read_as_a_request(self, served):
+        """A chunked POST is refused with one JSON 411 and the server
+        hangs up: neither its chunk lines nor a request pipelined
+        behind it are answered."""
+        *_, host, port = served
+        body = json.dumps({"row": {"x": 0.5}}).encode("ascii")
+        request = (
+            f"POST /match HTTP/1.1\r\nHost: {host}\r\n"
+            "Transfer-Encoding: chunked\r\n\r\n"
+        ).encode("ascii")
+        request += b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        request += f"GET /healthz HTTP/1.1\r\nHost: {host}\r\n\r\n".encode(
+            "ascii"
+        )
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request)
+            response = b""
+            while chunk := sock.recv(65536):  # the server hangs up
+                response += chunk
+        assert response.count(b"HTTP/1.1 ") == 1
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == b"411"
+        assert b"Connection: close" in head
+        assert json.loads(payload) == {
+            "error": "Transfer-Encoding is not supported; "
+                     "send a Content-Length",
+            "status": 411,
+        }
+
 
 class TestCorruptRunServing:
     def test_corrupt_run_quarantined_not_fatal(self, tmp_path, mined):

@@ -3,7 +3,9 @@
 The pool's guarantees under test:
 
 * concurrent batch clients against ``workers=2`` see **zero 5xx** while
-  a writer keeps publishing new runs into the store;
+  a writer keeps publishing new runs into the store; the clients keep
+  sending until the writer has published at least two runs and some
+  response names one of them, so every run overlaps a hot swap;
 * every response is consistent with a single store epoch: the epoch it
   names is exactly ``run_seq(run)`` of the run it names, and its matches
   equal what that stored run's index produces for the same rows;
@@ -15,6 +17,7 @@ The pool's guarantees under test:
 
 import json
 import threading
+import time
 import http.client
 
 import numpy as np
@@ -95,6 +98,8 @@ class TestMultiWorkerPool:
     N_CLIENT_THREADS = 4
     REQUESTS_PER_THREAD = 40
     BATCH = 8
+    #: Seconds the hammer may run before it fails for want of a swap.
+    HAMMER_DEADLINE_S = 60.0
 
     def test_pool_mode_and_basic_traffic(self, pool):
         dataset, result, _, first, server, host, port = pool
@@ -126,14 +131,25 @@ class TestMultiWorkerPool:
         sent = [0] * self.N_CLIENT_THREADS
         stop_writer = threading.Event()
         swaps = []
+        swapped = threading.Event()  # the writer has published two runs
+        served_new = threading.Event()  # a response named one of them
+        deadline = time.monotonic() + self.HAMMER_DEADLINE_S
 
         def writer():
             while not stop_writer.wait(0.15):
                 swaps.append(store.put(result, tags=("swap",)))
+                if len(swaps) >= 2:
+                    swapped.set()
 
         def client(slot):
-            for i in range(self.REQUESTS_PER_THREAD):
+            i = 0
+            while (i < self.REQUESTS_PER_THREAD or not swapped.is_set()
+                   or not served_new.is_set()):
+                if time.monotonic() > deadline:
+                    failures.append(("deadline", len(swaps)))
+                    return
                 start = (slot * 7 + i) % (len(rows) - self.BATCH)
+                i += 1
                 batch = rows[start : start + self.BATCH]
                 status, body = _post(host, port, "/match", {"rows": batch})
                 sent[slot] += 1
@@ -142,6 +158,8 @@ class TestMultiWorkerPool:
                     return
                 payload = json.loads(body)
                 run_id = payload["run"]
+                if run_id != first:
+                    served_new.set()
                 if payload["epoch"] != run_seq(run_id):
                     failures.append(("epoch", payload["epoch"], run_id))
                     return
@@ -165,7 +183,8 @@ class TestMultiWorkerPool:
         writer_thread.join()
 
         assert not failures, failures[:5]
-        assert swaps, "writer never published a run"
+        assert len(swaps) >= 2, "writer published fewer than two runs"
+        assert served_new.is_set(), "no response named a swapped-in run"
 
         # merged /metrics: per-worker match counters sum to client totals
         status, body = _get(host, port, "/metrics")

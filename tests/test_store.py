@@ -291,9 +291,10 @@ class TestKillDurability:
 class TestRetiredKeys:
     """Runs stored by older releases carry keys that later ones retired:
     the config's ``batch_evaluation`` and the summary's
-    ``prune_rule_batched`` (1.6.0), and the config's ``counting_backend``
-    and ``backend_cache_size`` (1.7.0).  They must load and serve, not
-    quarantine."""
+    ``prune_rule_batched`` (1.6.0), the config's ``counting_backend``
+    and ``backend_cache_size`` (1.7.0), and the summary's
+    ``counting_backend``, ``cache_hits`` and ``cache_misses`` (1.9.0).
+    They must load and serve, not quarantine."""
 
     def _write_as_v150(self, store, run_id):
         meta = store.root / "runs" / run_id / "meta.json"
@@ -303,6 +304,9 @@ class TestRetiredKeys:
         payload["config"]["backend_cache_size"] = 4096
         payload["summary"]["prune_rule_batched"] = dict(
             payload["summary"]["prune_rule_checks"]
+        )
+        payload["summary"].update(
+            counting_backend="mask", cache_hits=0, cache_misses=0
         )
         meta.write_text(json.dumps(payload))
         return meta, payload
