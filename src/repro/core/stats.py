@@ -5,6 +5,13 @@ Includes the chi-square independence test STUCCO and SDAD-CS rely on
 ladder of Bay & Pazzani, the central-limit-theorem difference bound used by
 the redundancy pruning rule (Eq. 14-16), and the Wilcoxon-Mann-Whitney test
 used by the Table 4 comparison harness.
+
+The miner's kernels come from ``scipy.special`` (``chdtrc`` for the
+chi-square p-value, ``ndtri`` for the CLT quantile).  Only
+:func:`fisher_exact_2x2` and :func:`mann_whitney_u` need ``scipy.stats``,
+and they import it on first call: loading it costs most of a second and
+about 45 MB per process, which a mine or a server that never runs either
+test does not pay.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import numpy as np
 from functools import lru_cache
 
 from scipy import special as _scipy_special
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "ChiSquareResult",
@@ -250,6 +256,8 @@ def fisher_exact_2x2(table: np.ndarray) -> float:
     table = np.asarray(table, dtype=np.int64)
     if table.shape != (2, 2):
         raise ValueError("fisher exact test needs a 2x2 table")
+    from scipy import stats as _scipy_stats
+
     return float(_scipy_stats.fisher_exact(table)[1])
 
 
@@ -374,6 +382,8 @@ def mann_whitney_u(
         return 1.0
     if np.all(a == a[0]) and np.all(b == b[0]) and a[0] == b[0]:
         return 1.0
+    from scipy import stats as _scipy_stats
+
     try:
         return float(
             _scipy_stats.mannwhitneyu(a, b, alternative="two-sided").pvalue

@@ -209,6 +209,10 @@ class CountingBackend:
         self.count_calls += 1
         if cover.chunk_sizes != self.chunk_sizes:
             raise DatasetError("cover is not chunk-aligned with the dataset")
+        if not self.chunk_sizes:
+            # A view of no chunks covers no row of any group; the cover
+            # alone cannot say how many groups there are.
+            return np.zeros(self.dataset.n_groups, dtype=np.int64)
         if self._group_stacks is None:
             # ``n_groups * n_rows / 8`` bytes, built once.  A view maps
             # each chunk's group file for them: built from the widened

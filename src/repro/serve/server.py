@@ -181,6 +181,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    # Seconds a socket read or write may block.  ``setup`` applies it to
+    # the connection, and ``handle_one_request`` closes the connection
+    # on the ``TimeoutError``, also one raised mid-body, so an idle
+    # keep-alive or slow-loris client cannot hold a handler thread.
+    timeout = 30.0
     # Headers and body are flushed as separate segments; without
     # TCP_NODELAY the second write can stall ~40ms behind Nagle +
     # delayed ACK, capping keep-alive clients near 25 req/s.

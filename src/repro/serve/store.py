@@ -6,6 +6,7 @@ pipeline run) can load back bit-for-bit.  Layout::
 
     store/
       manifest.json            # the only mutable file; atomically replaced
+      .lock                    # advisory writer lock (empty)
       runs/
         run-000001-<digest>/
           meta.json            # envelope: versions, fingerprint, summary
@@ -29,9 +30,16 @@ Design rules:
   malformed JSON all raise :class:`StoreError` subclasses the server
   maps to client-visible statuses — a broken file can never take the
   serving process down or silently serve wrong patterns.
-* **Single writer.**  Readers are safe from any number of processes;
-  concurrent writers would race the manifest rewrite and must be
-  serialised by the caller (one publishing pipeline per store).
+* **Serialised writers.**  Readers are safe from any number of
+  processes and take no lock: the manifest is only ever replaced whole.
+  Every manifest rewrite (``put``, ``remove``, ``quarantine``, ``gc``)
+  holds an advisory ``fcntl.flock`` on ``<root>/.lock`` from the
+  manifest read it is based on to the replace, so concurrent writers in
+  any threads or processes take turns instead of losing each other's
+  runs or claiming one sequence number twice.  The lock is advisory: a
+  writer that edits the store's files by other means is not held off.
+  Where ``fcntl`` is missing (not POSIX) writers must be serialised by
+  the caller.
 
 JSON-lines over :mod:`repro.core.serialize` keeps the artifact
 greppable, diffable, and dependency-free; Python's ``repr``-based float
@@ -46,9 +54,15 @@ import os
 import shutil
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - not POSIX
+    fcntl = None
 
 from ..core.contrast import ContrastPattern
 from ..core.items import Itemset
@@ -85,6 +99,7 @@ _QUARANTINE_DIR = "quarantine"
 _META = "meta.json"
 _PATTERNS = "patterns.jsonl"
 _TMP_PREFIX = ".tmp-"
+_LOCK = ".lock"
 
 
 class StoreError(RuntimeError):
@@ -207,7 +222,9 @@ class PatternStore:
             if self.root.exists() and not self.root.is_dir():
                 raise StoreError(f"{self.root} exists and is not a directory")
             self._runs_dir.mkdir(parents=True, exist_ok=True)
-            self._write_manifest({"next_seq": 1, "runs": {}})
+            with self._writer_lock():
+                if not self._manifest_path.exists():
+                    self._write_manifest({"next_seq": 1, "runs": {}})
         else:
             self._read_manifest()  # validate eagerly: fail at open time
 
@@ -241,6 +258,27 @@ class PatternStore:
         payload = {"magic": _STORE_MAGIC, "version": STORE_VERSION, **body}
         _atomic_write_json(self._manifest_path, payload)
 
+    @contextmanager
+    def _writer_lock(self) -> Iterator[None]:
+        """Hold the store's exclusive writer lock (``<root>/.lock``).
+
+        Taken around each read-modify-write of the manifest.  The lock
+        is released explicitly rather than by closing, so a child forked
+        while it was held cannot keep it.
+        """
+        if fcntl is None:  # pragma: no cover - not POSIX
+            yield
+            return
+        fd = os.open(self.root / _LOCK, os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
+
     # -- writing --------------------------------------------------------
 
     def put(
@@ -253,13 +291,11 @@ class PatternStore:
         The run becomes visible (in ``list_runs`` and to servers) only
         once its files are completely on disk — a crash mid-``put``
         leaves unreferenced garbage for :meth:`gc`, never a readable
-        half-run.
+        half-run.  The pattern records are serialised before the writer
+        lock is taken; the lock covers the sequence number, the run's
+        files and the manifest rewrite.
         """
-        manifest = self._read_manifest()
-        seq = int(manifest.get("next_seq", 1))
         fingerprint = dataset_fingerprint(result.dataset)
-        run_id = f"run-{seq:06d}-{fingerprint['content'][:12]}"
-        created = _utc_now()
         tags = tuple(str(tag) for tag in tags)
 
         records = []
@@ -276,8 +312,6 @@ class PatternStore:
             "magic": _RUN_MAGIC,
             "store_version": STORE_VERSION,
             "serialization": serialization_header(),
-            "run_id": run_id,
-            "created": created,
             "tags": list(tags),
             "n_patterns": len(result.patterns),
             "patterns_sha256": hashlib.sha256(patterns_bytes).hexdigest(),
@@ -286,33 +320,40 @@ class PatternStore:
             "summary": asdict(result.summary()),
         }
 
-        self._runs_dir.mkdir(parents=True, exist_ok=True)
-        tmp_dir = Path(
-            tempfile.mkdtemp(dir=self._runs_dir, prefix=_TMP_PREFIX)
-        )
-        try:
-            (tmp_dir / _PATTERNS).write_bytes(patterns_bytes)
-            _atomic_write_json(tmp_dir / _META, meta)
-            final_dir = self._runs_dir / run_id
-            os.replace(tmp_dir, final_dir)
-        except BaseException:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-            raise
+        with self._writer_lock():
+            manifest = self._read_manifest()
+            seq = int(manifest.get("next_seq", 1))
+            run_id = f"run-{seq:06d}-{fingerprint['content'][:12]}"
+            created = _utc_now()
+            meta.update(run_id=run_id, created=created)
 
-        info = RunInfo(
-            run_id=run_id,
-            created=created,
-            tags=tags,
-            n_patterns=len(result.patterns),
-            n_rows=int(fingerprint["n_rows"]),
-            group_labels=tuple(fingerprint["group_labels"]),
-            content_digest=str(fingerprint["content"]),
-        )
-        manifest["runs"][run_id] = info.to_dict()
-        manifest["next_seq"] = seq + 1
-        self._write_manifest(
-            {"next_seq": manifest["next_seq"], "runs": manifest["runs"]}
-        )
+            self._runs_dir.mkdir(parents=True, exist_ok=True)
+            tmp_dir = Path(
+                tempfile.mkdtemp(dir=self._runs_dir, prefix=_TMP_PREFIX)
+            )
+            try:
+                (tmp_dir / _PATTERNS).write_bytes(patterns_bytes)
+                _atomic_write_json(tmp_dir / _META, meta)
+                final_dir = self._runs_dir / run_id
+                os.replace(tmp_dir, final_dir)
+            except BaseException:
+                shutil.rmtree(tmp_dir, ignore_errors=True)
+                raise
+
+            info = RunInfo(
+                run_id=run_id,
+                created=created,
+                tags=tags,
+                n_patterns=len(result.patterns),
+                n_rows=int(fingerprint["n_rows"]),
+                group_labels=tuple(fingerprint["group_labels"]),
+                content_digest=str(fingerprint["content"]),
+            )
+            manifest["runs"][run_id] = info.to_dict()
+            manifest["next_seq"] = seq + 1
+            self._write_manifest(
+                {"next_seq": manifest["next_seq"], "runs": manifest["runs"]}
+            )
         return run_id
 
     # -- reading --------------------------------------------------------
@@ -441,15 +482,16 @@ class PatternStore:
 
     def remove(self, run_id: str) -> None:
         """Drop a run from the manifest (its files remain until :meth:`gc`)."""
-        manifest = self._read_manifest()
-        if run_id not in manifest["runs"]:
-            raise UnknownRunError(
-                f"run {run_id!r} is not in store {self.root}"
+        with self._writer_lock():
+            manifest = self._read_manifest()
+            if run_id not in manifest["runs"]:
+                raise UnknownRunError(
+                    f"run {run_id!r} is not in store {self.root}"
+                )
+            del manifest["runs"][run_id]
+            self._write_manifest(
+                {"next_seq": manifest["next_seq"], "runs": manifest["runs"]}
             )
-        del manifest["runs"][run_id]
-        self._write_manifest(
-            {"next_seq": manifest["next_seq"], "runs": manifest["runs"]}
-        )
 
     def quarantine(self, run_id: str) -> Path:
         """Move a (corrupt) run's files aside and drop it from the manifest.
@@ -459,23 +501,25 @@ class PatternStore:
         Idempotent enough for the serving path: a run already quarantined
         by a racing thread just gets dropped from the manifest.
         """
-        manifest = self._read_manifest()
-        run_dir = self._runs_dir / run_id
-        if run_dir.exists():
-            self._quarantine_dir.mkdir(parents=True, exist_ok=True)
-            target = self._quarantine_dir / run_id
-            if target.exists():
-                shutil.rmtree(run_dir, ignore_errors=True)
-            else:
-                try:
-                    os.replace(run_dir, target)
-                except OSError:
-                    pass  # racing quarantine; manifest drop still applies
-        if run_id in manifest["runs"]:
-            del manifest["runs"][run_id]
-            self._write_manifest(
-                {"next_seq": manifest["next_seq"], "runs": manifest["runs"]}
-            )
+        with self._writer_lock():
+            manifest = self._read_manifest()
+            run_dir = self._runs_dir / run_id
+            if run_dir.exists():
+                self._quarantine_dir.mkdir(parents=True, exist_ok=True)
+                target = self._quarantine_dir / run_id
+                if target.exists():
+                    shutil.rmtree(run_dir, ignore_errors=True)
+                else:
+                    try:
+                        os.replace(run_dir, target)
+                    except OSError:
+                        pass  # racing quarantine; manifest drop still applies
+            if run_id in manifest["runs"]:
+                del manifest["runs"][run_id]
+                self._write_manifest(
+                    {"next_seq": manifest["next_seq"],
+                     "runs": manifest["runs"]}
+                )
         return self._quarantine_dir / run_id
 
     def gc(self) -> list[str]:
@@ -486,20 +530,21 @@ class PatternStore:
         runs are kept — they were moved aside deliberately.  Returns the
         names removed.
         """
-        manifest = self._read_manifest()
-        referenced = set(manifest["runs"])
-        removed: list[str] = []
-        for stray in sorted(self.root.glob(f"{_TMP_PREFIX}*")):
-            stray.unlink(missing_ok=True)  # crashed manifest rewrites
-            removed.append(stray.name)
-        if not self._runs_dir.exists():
-            return removed
-        for entry in sorted(self._runs_dir.iterdir()):
-            if entry.name in referenced:
-                continue
-            if entry.is_dir():
-                shutil.rmtree(entry, ignore_errors=True)
-            else:
-                entry.unlink(missing_ok=True)
-            removed.append(entry.name)
+        with self._writer_lock():
+            manifest = self._read_manifest()
+            referenced = set(manifest["runs"])
+            removed: list[str] = []
+            for stray in sorted(self.root.glob(f"{_TMP_PREFIX}*")):
+                stray.unlink(missing_ok=True)  # crashed manifest rewrites
+                removed.append(stray.name)
+            if not self._runs_dir.exists():
+                return removed
+            for entry in sorted(self._runs_dir.iterdir()):
+                if entry.name in referenced:
+                    continue
+                if entry.is_dir():
+                    shutil.rmtree(entry, ignore_errors=True)
+                else:
+                    entry.unlink(missing_ok=True)
+                removed.append(entry.name)
         return removed

@@ -17,10 +17,11 @@ Coordination model — deliberately, there is none:
   own store sequence number as ``epoch``, so every worker reports the
   same ``(run, epoch)`` for the same run without agreeing on anything;
   workers converge within one poll interval of a ``store.put``.
-* **Single writer stays single.**  Publishing in pool mode *is*
-  ``store.put`` — the store's append-only atomic-manifest discipline is
-  the only synchronisation, and a corrupt new run simply leaves every
-  worker serving the previous one.
+* **Publishing is a store write.**  Publishing in pool mode *is*
+  ``store.put`` — the store's append-only atomic manifest, whose
+  writers take turns under the store's lock, is the only
+  synchronisation, and a corrupt new run simply leaves every worker
+  serving the previous one.
 * **Metrics merge at read time.**  Each worker also binds a private
   loopback admin socket serving its local counters and registers it in
   a rendezvous directory.  Whichever worker the kernel hands a

@@ -164,6 +164,37 @@ class TestBackendUnits:
                 backend.cover_group_counts(backend.full_cover())
             ) == mixed_dataset.group_sizes
 
+    def test_empty_layouts_count_zero_per_group(self, mixed_dataset, tmp_path):
+        """A 0-row dataset and the view of an empty store (no chunks at
+        all) count one 0 per group, for the full cover and for every
+        itemset, as the reference expression does."""
+        empty = mixed_dataset.restrict(np.zeros(mixed_dataset.n_rows, bool))
+        view = ChunkedDataset.create(
+            tmp_path / "empty", mixed_dataset.schema,
+            mixed_dataset.group_labels,
+        ).view()
+        assert view.chunk_sizes == ()
+        itemsets = [
+            Itemset(),
+            Itemset([CategoricalItem("color", "red")]),
+            Itemset([NumericItem("x", Interval(0.0, 0.5, True, True))]),
+        ]
+        zeros = np.zeros(mixed_dataset.n_groups, dtype=np.int64)
+        for dataset in (empty, view):
+            backend = CountingBackend(dataset)
+            np.testing.assert_array_equal(
+                backend.cover_group_counts(backend.full_cover()), zeros
+            )
+            np.testing.assert_array_equal(
+                backend.group_counts_batch(itemsets),
+                np.zeros((len(itemsets), mixed_dataset.n_groups)),
+            )
+            for itemset in itemsets:
+                np.testing.assert_array_equal(
+                    backend.cover_group_counts(backend.cover_of(itemset)),
+                    dataset.group_counts(itemset.cover(dataset)),
+                )
+
     def test_categorical_itemset_parity(self, backends, mixed_dataset):
         itemsets = [
             Itemset([CategoricalItem("color", value)])

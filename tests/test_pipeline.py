@@ -15,6 +15,7 @@ from repro.core.pipeline import (
     OptimisticChiSquareRule,
     PruneRule,
     PruningPipeline,
+    chi2_critical,
     default_rules,
     format_prune_report,
 )
@@ -83,6 +84,26 @@ class TestDefaultRules:
             MinerConfig(prune_min_deviation=False)
         )
         assert "min_deviation" not in [r.name for r in pipeline.rules]
+
+
+def test_chi2_critical_is_scipy_isf_bit_for_bit():
+    """The optimistic gate's threshold comes from ``scipy.special.chdtri``
+    so that the miner never loads ``scipy.stats``; it must stay the exact
+    double ``scipy.stats.chi2.isf`` gives, from the loosest alpha a level
+    can have down to the Bonferroni ladder's deepest, for every degree of
+    freedom up to 16 groups."""
+    from scipy import stats as scipy_stats
+
+    alphas = np.concatenate([
+        np.logspace(-300, np.log10(0.5), 400),
+        [0.5, 0.05, 0.025, 0.0125, 0.01, 1e-3, 0.05 / 2**5 / 1_000],
+    ])
+    chi2_critical.cache_clear()
+    for dof in range(1, 16):
+        for alpha in alphas.tolist():
+            assert chi2_critical(alpha, dof) == float(
+                scipy_stats.chi2.isf(alpha, dof)
+            ), (alpha, dof)
 
 
 class TestEvaluate:

@@ -13,6 +13,7 @@ The hard guarantees under test:
 import json
 import socket
 import threading
+import time
 import http.client
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.core.contrast import ContrastPattern
 from repro.core.items import CategoricalItem, Interval, Itemset, NumericItem
 from repro.serve.index import PatternIndex, row_from_dataset
 from repro.serve.query import Query, apply_query, encode_entry
-from repro.serve.server import PatternServer, ServeConfig
+from repro.serve.server import PatternServer, ServeConfig, _RequestHandler
 from repro.serve.store import PatternStore
 
 
@@ -375,6 +376,76 @@ class TestValidation:
                      "send a Content-Length",
             "status": 411,
         }
+
+
+class TestReadTimeout:
+    """A connection that stops sending is closed after the handler's
+    read timeout, so idle keep-alive and slow-loris clients cannot hold
+    handler threads; a client that keeps sending is served as before."""
+
+    TIMEOUT = 0.4
+
+    @pytest.fixture
+    def served(self, served, monkeypatch):
+        """The served run, with the handler's timeout cut short."""
+        monkeypatch.setattr(_RequestHandler, "timeout", self.TIMEOUT)
+        return served
+
+    def _hangs_up(self, sock) -> bytes:
+        """Everything the server sends before it closes the socket."""
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+        return received
+
+    def test_handler_timeout_is_set(self):
+        assert _RequestHandler.timeout == 30.0
+
+    def test_silent_connection_is_closed(self, served):
+        *_, host, port = served
+        with socket.create_connection((host, port), timeout=10) as sock:
+            started = time.monotonic()
+            assert self._hangs_up(sock) == b""
+        assert time.monotonic() - started < 10 * self.TIMEOUT
+
+    def test_stalled_body_is_closed_unanswered(self, served):
+        """A slow-loris body (fewer bytes than its Content-Length) is
+        dropped mid-read: no response, no request reaches the app."""
+        *_, host, port = served
+        request = (
+            f"POST /match HTTP/1.1\r\nHost: {host}\r\n"
+            "Content-Length: 100\r\n\r\n{\"row\": "
+        )
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request.encode("ascii"))
+            assert self._hangs_up(sock) == b""
+        status, body = _get(host, port, "/metrics")
+        assert status == 200
+        assert "match" not in json.loads(body)["endpoints"]
+
+    def test_keep_alive_within_timeout_is_served(self, served):
+        """Requests spaced by less than the timeout share one connection
+        for longer than the timeout in total."""
+        *_, host, port = served
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.connect()
+            first = conn.sock
+            started = time.monotonic()
+            for _ in range(5):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                time.sleep(self.TIMEOUT / 2)
+            assert conn.sock is first  # never reconnected
+            assert time.monotonic() - started > self.TIMEOUT
+        finally:
+            conn.close()
+        status, body = _get(host, port, "/metrics")
+        endpoints = json.loads(body)["endpoints"]
+        assert endpoints["healthz"]["requests"] == 5
+        assert all(stats["errors"] == 0 for stats in endpoints.values())
 
 
 class TestCorruptRunServing:

@@ -9,6 +9,8 @@ prune accounting, summary.
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -237,6 +239,73 @@ class TestMaintenance:
         store.quarantine(run_id)
         store.gc()
         assert (store.root / "quarantine" / run_id).exists()
+
+
+_CONCURRENT_WRITER = r"""
+import json
+import os
+import sys
+import time
+
+import numpy as np
+
+from repro import Attribute, ContrastSetMiner, Dataset, MinerConfig, Schema
+from repro.serve import PatternStore
+
+root, go, n_puts = sys.argv[1], sys.argv[2], int(sys.argv[3])
+rng = np.random.default_rng(int(sys.argv[4]))
+group = rng.integers(0, 2, 200)
+x = np.where(group == 0, rng.uniform(0, 0.5, 200), rng.uniform(0.5, 1, 200))
+dataset = Dataset(
+    Schema.of([Attribute.continuous("x")]), {"x": x}, group, ["A", "B"]
+)
+result = ContrastSetMiner(MinerConfig(max_tree_depth=1)).mine(dataset)
+store = PatternStore(root, create=False)
+print("ready", flush=True)
+while not os.path.exists(go):
+    time.sleep(0.001)
+print(json.dumps([store.put(result) for _ in range(n_puts)]), flush=True)
+"""
+
+
+class TestConcurrentWriters:
+    def test_concurrent_puts_all_listed_and_loadable(self, tmp_path, src_env):
+        """Three processes putting into one store at once: the writer
+        lock serialises their manifest rewrites, so no run is lost and no
+        sequence number is taken twice."""
+        n_writers, n_puts = 3, 25
+        store = PatternStore(tmp_path / "store")
+        go = tmp_path / "go"
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _CONCURRENT_WRITER, str(store.root),
+                 str(go), str(n_puts), str(seed)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                env=src_env,
+            )
+            for seed in range(n_writers)
+        ]
+        try:
+            for writer in writers:
+                assert writer.stdout.readline().strip() == "ready"
+            go.touch()
+            returned = []
+            for writer in writers:
+                out, err = writer.communicate(timeout=120)
+                assert writer.returncode == 0, err
+                returned.extend(json.loads(out))
+        finally:
+            for writer in writers:
+                writer.kill()
+                writer.wait()
+        assert len(set(returned)) == n_writers * n_puts
+        listed = [info.run_id for info in store.list_runs()]
+        assert sorted(returned) == listed
+        assert [int(run_id.split("-")[1]) for run_id in listed] == list(
+            range(1, n_writers * n_puts + 1)
+        )
+        for run_id in listed:
+            assert store.get(run_id).patterns
 
 
 class TestKillDurability:
